@@ -8,7 +8,6 @@ exhaustive and randomized checking, a small expression language, a text
 workspace format, and a command-line interface.
 """
 
-from ._backend import backend_name
 from .algebra import complement, difference, equals, intersection, subset, union
 from .model import (
     Context,
@@ -25,6 +24,12 @@ from .model import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Always ``"pure"``: every operation is plain integer arithmetic on
+    packed soft sets, with no compiled extension to choose."""
+    return "pure"
 
 __all__ = [
     "Context",

@@ -13,7 +13,6 @@ an empty image.
 
 from __future__ import annotations
 
-from . import _backend
 from .errors import ContextMismatch
 from .model import Context, SoftSet
 
@@ -28,42 +27,56 @@ __all__ = [
 
 
 def _shared_context(s: SoftSet, t: SoftSet) -> Context:
-    if s.context != t.context:
+    ctx = s.context
+    if ctx is not t.context and ctx != t.context:
         raise ContextMismatch(
             f"soft sets live over different contexts: {s.context!r} vs {t.context!r}"
         )
-    return s.context
+    return ctx
+
+
+# Each operation is one integer operation on the packed bits, applied to
+# every parameter's mask at once:
+#
+# * intersection  a & b        0 where either side is undefined or the
+#                              images are disjoint: exactly the
+#                              normalization the operation demands
+# * union         a | b        keeps a where b is undefined, b where a
+#                              is undefined, the joined image otherwise
+# * complement    full ^ a     undefined becomes the whole universe, a
+#                              full image becomes undefined, anything
+#                              else flips within the universe
+# * difference    a & ~b       drops parameters whose image b covers,
+#                              keeps a where b is undefined
+# * subset        not a & ~b   per-parameter image inclusion; a nonzero
+#                              mask of a forces a nonzero mask of b, so
+#                              domain inclusion comes for free
 
 
 def subset(s: SoftSet, t: SoftSet) -> bool:
     """True iff every parameter defined in s is defined in t with a
     superset image.  The empty soft set is a subset of everything."""
-    ctx = _shared_context(s, t)
-    kernel = _backend.kernel_for(len(ctx.objects))
-    return kernel.subset_masks(s.masks, t.masks)
+    _shared_context(s, t)
+    return not s.bits & ~t.bits
 
 
 def equals(s: SoftSet, t: SoftSet) -> bool:
     """True iff s and t have the same domain and the same images;
     equivalently, each is a subset of the other."""
     _shared_context(s, t)
-    return s.masks == t.masks
+    return s.bits == t.bits
 
 
 def intersection(s: SoftSet, t: SoftSet) -> SoftSet:
     """Parameter-wise image intersection, defined exactly where both
     operands are defined and the images meet."""
-    ctx = _shared_context(s, t)
-    kernel = _backend.kernel_for(len(ctx.objects))
-    return SoftSet(ctx, kernel.intersection_masks(s.masks, t.masks))
+    return SoftSet(_shared_context(s, t), s.bits & t.bits)
 
 
 def union(s: SoftSet, t: SoftSet) -> SoftSet:
     """Defined wherever either operand is; keeps the lone image on the
     symmetric difference of the domains, joins images on the overlap."""
-    ctx = _shared_context(s, t)
-    kernel = _backend.kernel_for(len(ctx.objects))
-    return SoftSet(ctx, kernel.union_masks(s.masks, t.masks))
+    return SoftSet(_shared_context(s, t), s.bits | t.bits)
 
 
 def complement(s: SoftSet) -> SoftSet:
@@ -75,14 +88,11 @@ def complement(s: SoftSet) -> SoftSet:
     soft set.
     """
     ctx = s.context
-    kernel = _backend.kernel_for(len(ctx.objects))
-    return SoftSet(ctx, kernel.complement_masks(s.masks, ctx.full_mask))
+    return SoftSet(ctx, ctx.full_bits ^ s.bits)
 
 
 def difference(s: SoftSet, t: SoftSet) -> SoftSet:
     """Relative complement of t in s: image-wise s minus t where both
     are defined (dropping parameters t fully covers), s's own image
     elsewhere on s's domain."""
-    ctx = _shared_context(s, t)
-    kernel = _backend.kernel_for(len(ctx.objects))
-    return SoftSet(ctx, kernel.difference_masks(s.masks, t.masks))
+    return SoftSet(_shared_context(s, t), s.bits & ~t.bits)

@@ -22,11 +22,11 @@ from .errors import LexError, ParseError, SoftSetError, UnboundName
 from .houses import paper_example_report
 from .laws import (
     DEFAULT_CAP,
+    check_cap,
     check_exhaustive,
     check_random,
     law_catalog,
     lookup,
-    soft_set_count,
 )
 from .model import Context, new_context
 from .workspace import Workspace, load_workspace, render_soft_set, render_workspace
@@ -155,17 +155,10 @@ def _cmd_check_laws(args: argparse.Namespace) -> int:
 
     exhaustive = args.exhaustive
     if exhaustive:
-        # Refuse the whole run up front rather than failing mid-report.
-        n_sets = soft_set_count(ctx)
+        # Refuse the whole run up front rather than failing mid-report;
+        # main reports EnumerationTooLarge with exit code 3.
         for law in selected:
-            total = n_sets**law.arity
-            if total > args.cap:
-                print(
-                    f"error: law {law.id}: {total} argument tuples exceed "
-                    f"the cap of {args.cap}",
-                    file=sys.stderr,
-                )
-                return 3
+            check_cap(law, ctx, args.cap)
 
     failures = 0
     for law in selected:

@@ -10,6 +10,10 @@ Grammar (loosest binding first):
 `&` and `-` share a precedence level and all binary operators associate
 to the left; `^c` is postfix.  Names match [A-Za-z_][A-Za-z0-9_]*, with
 EMPTY and UNIVERSAL reserved as constants.
+
+Operator chains and `^c` runs of any length parse in loops; parentheses
+recurse, so they nest at most MAX_NESTING deep.  Evaluation walks the
+tree with an explicit stack, so every tree the parser builds evaluates.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ __all__ = [
     "evaluate",
     "render",
 ]
+
+# Deepest parenthesis nesting the parser accepts.  Each level costs four
+# Python frames (expression, term, factor, atom), so this stays well
+# inside the default recursion limit of 1000 even under a deep caller.
+MAX_NESTING = 200
 
 # Token kinds.
 NAME = "NAME"
@@ -171,6 +180,7 @@ class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = list(tokens)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def _end_position(self) -> tuple[int, int]:
         if self.tokens:
@@ -225,8 +235,14 @@ class _Parser:
             self.advance()
             return Universal()
         if tok.kind == LPAREN:
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column
+                )
             self.advance()
+            self.depth += 1
             node = self.expression()
+            self.depth -= 1
             closing = self.peek()
             if closing is None or closing.kind != RPAREN:
                 raise ParseError("unbalanced parenthesis", tok.line, tok.column)
@@ -255,29 +271,49 @@ def parse_text(text: str) -> Expr:
 
 
 def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
-    """Evaluate bottom-up, delegating each operator to the algebra."""
-    if isinstance(ast, Name):
-        if ast.identifier not in env:
-            raise UnboundName(ast.identifier)
-        value = env[ast.identifier]
-        if value.context != ctx:
-            raise ContextMismatch(
-                f"name {ast.identifier} is bound in a different context"
-            )
-        return value
-    if isinstance(ast, Empty):
-        return empty_soft_set(ctx)
-    if isinstance(ast, Universal):
-        return universal_soft_set(ctx)
-    if isinstance(ast, Complement):
-        return algebra.complement(evaluate(ast.child, env, ctx))
-    if isinstance(ast, Intersect):
-        return algebra.intersection(evaluate(ast.left, env, ctx), evaluate(ast.right, env, ctx))
-    if isinstance(ast, Union):
-        return algebra.union(evaluate(ast.left, env, ctx), evaluate(ast.right, env, ctx))
-    if isinstance(ast, Difference):
-        return algebra.difference(evaluate(ast.left, env, ctx), evaluate(ast.right, env, ctx))
-    raise TypeError(f"not an expression node: {ast!r}")
+    """Evaluate bottom-up, delegating each operator to the algebra.
+
+    A post-order walk over an explicit stack: a node is pushed once to
+    schedule its children (left evaluated first) and once more to apply
+    its operator to their values.
+    """
+    values: list[SoftSet] = []
+    stack: list[tuple[Expr, bool]] = [(ast, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Name):
+            if node.identifier not in env:
+                raise UnboundName(node.identifier)
+            value = env[node.identifier]
+            if value.context is not ctx and value.context != ctx:
+                raise ContextMismatch(
+                    f"name {node.identifier} is bound in a different context"
+                )
+            values.append(value)
+        elif isinstance(node, Empty):
+            values.append(empty_soft_set(ctx))
+        elif isinstance(node, Universal):
+            values.append(universal_soft_set(ctx))
+        elif isinstance(node, Complement):
+            if ready:
+                values.append(algebra.complement(values.pop()))
+            else:
+                stack += ((node, True), (node.child, False))
+        elif isinstance(node, (Intersect, Union, Difference)):
+            if ready:
+                right = values.pop()
+                left = values.pop()
+                if isinstance(node, Intersect):
+                    values.append(algebra.intersection(left, right))
+                elif isinstance(node, Union):
+                    values.append(algebra.union(left, right))
+                else:
+                    values.append(algebra.difference(left, right))
+            else:
+                stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return values.pop()
 
 
 def render(ast: Expr) -> str:

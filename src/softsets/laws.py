@@ -28,6 +28,7 @@ __all__ = [
     "CheckReport",
     "soft_set_count",
     "enumerate_soft_sets",
+    "check_cap",
     "random_soft_set",
     "law_catalog",
     "lookup",
@@ -88,14 +89,31 @@ def soft_set_count(ctx: Context) -> int:
     return (2 ** len(ctx.objects)) ** len(ctx.parameters)
 
 
+def _exceeds(n_bits: int, cap: int) -> bool:
+    """Whether 2**n_bits exceeds cap.  Comparing bit lengths never builds
+    the power, which for a large frame has millions of digits."""
+    return n_bits >= cap.bit_length()
+
+
+def check_cap(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> None:
+    """Raise EnumerationTooLarge when an exhaustive check of ``law`` over
+    ctx would take more than ``cap`` argument tuples."""
+    n_bits = len(ctx.objects) * len(ctx.parameters) * law.arity
+    if _exceeds(n_bits, cap):
+        raise EnumerationTooLarge(
+            f"law {law.id}: 2**{n_bits} argument tuples exceed the cap of {cap}"
+        )
+
+
 def enumerate_soft_sets(ctx: Context, cap: int = DEFAULT_CAP) -> Iterator[SoftSet]:
-    """Yield every soft set over ctx exactly once, in a fixed order."""
-    count = soft_set_count(ctx)
-    if count > cap:
-        raise EnumerationTooLarge(f"{count} soft sets exceed the cap of {cap}")
-    per_parameter = range(2 ** len(ctx.objects))
-    for masks in itertools.product(per_parameter, repeat=len(ctx.parameters)):
-        yield SoftSet(ctx, masks)
+    """Yield every soft set over ctx exactly once, in a fixed order: the
+    packed bits count up from 0, which is the order of the per-parameter
+    mask tuples with the last parameter varying fastest."""
+    n_bits = len(ctx.objects) * len(ctx.parameters)
+    if _exceeds(n_bits, cap):
+        raise EnumerationTooLarge(f"2**{n_bits} soft sets exceed the cap of {cap}")
+    for bits in range(1 << n_bits):
+        yield SoftSet(ctx, bits)
 
 
 def _random_soft_set(
@@ -117,7 +135,7 @@ def _random_soft_set(
                 if rng.random() < member_density:
                     m |= 1 << k
         masks.append(m)
-    return SoftSet(ctx, tuple(masks))
+    return SoftSet.from_masks(ctx, masks)
 
 
 def random_soft_set(
@@ -366,11 +384,7 @@ def _report_violation(
 
 def check_exhaustive(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> CheckReport:
     """Evaluate the law on every argument tuple over ctx."""
-    total = soft_set_count(ctx) ** law.arity
-    if total > cap:
-        raise EnumerationTooLarge(
-            f"law {law.id}: {total} argument tuples exceed the cap of {cap}"
-        )
+    check_cap(law, ctx, cap)
     all_sets = list(enumerate_soft_sets(ctx, cap=cap))
     cases = 0
     for args in itertools.product(all_sets, repeat=law.arity):
@@ -438,7 +452,7 @@ def _reductions(
     for j in range(n_params):
         smaller = _drop_parameter(ctx, j)
         yield smaller, tuple(
-            SoftSet(smaller, a.masks[:j] + a.masks[j + 1 :]) for a in args
+            SoftSet.from_masks(smaller, a.masks[:j] + a.masks[j + 1 :]) for a in args
         )
 
     # Make one parameter undefined in one argument.
@@ -446,7 +460,7 @@ def _reductions(
         for j in range(n_params):
             if a.masks[j]:
                 masks = a.masks[:j] + (0,) + a.masks[j + 1 :]
-                yield ctx, args[:i] + (SoftSet(ctx, masks),) + args[i + 1 :]
+                yield ctx, args[:i] + (SoftSet.from_masks(ctx, masks),) + args[i + 1 :]
 
     # Drop an object from the universe (images losing their last member
     # become undefined; an emptied universe is only legal without
@@ -455,7 +469,7 @@ def _reductions(
         for k in range(n_objects):
             smaller = _drop_object(ctx, k)
             yield smaller, tuple(
-                SoftSet(smaller, tuple(_squeeze_bit(m, k) for m in a.masks))
+                SoftSet.from_masks(smaller, (_squeeze_bit(m, k) for m in a.masks))
                 for a in args
             )
 
@@ -466,7 +480,7 @@ def _reductions(
             for k in range(n_objects):
                 if m >> k & 1 and m != 1 << k:
                     masks = a.masks[:j] + (m & ~(1 << k),) + a.masks[j + 1 :]
-                    yield ctx, args[:i] + (SoftSet(ctx, masks),) + args[i + 1 :]
+                    yield ctx, args[:i] + (SoftSet.from_masks(ctx, masks),) + args[i + 1 :]
 
 
 def shrink(

@@ -5,11 +5,15 @@ space.  A soft set assigns a nonempty subset of the universe to some of
 the parameters; parameters outside that domain are *undefined* (never
 mapped to the empty set).
 
-Internally a soft set is a tuple of per-parameter bitmasks, one mask per
-parameter in context order.  Bit i of a mask stands for the i-th object
-of the universe, and mask 0 encodes "undefined", unambiguous precisely
-because images are never empty.  Everything else (operations, the law
-harness, rendering) is built on this encoding.
+Internally a soft set is one integer of |U|·|E| bits: one |U|-bit mask
+per parameter, parameter i at bit offset |U|·(|E|-1-i), so the first
+parameter sits in the highest bits.  Bit k of a mask stands for the k-th
+object of the universe, and mask 0 encodes "undefined", unambiguous
+precisely because images are never empty.  Each operation of the
+algebra is then a single integer operation on the packed bits, and
+counting the integers 0, 1, ... enumerates soft sets in the order of the
+per-parameter mask tuples (last parameter fastest).  Rendering and
+shrinking read the per-parameter masks, unpacked on demand.
 """
 
 from __future__ import annotations
@@ -87,6 +91,11 @@ class Context:
         """Bitmask of the whole universe."""
         return (1 << len(self.objects)) - 1
 
+    @cached_property
+    def full_bits(self) -> int:
+        """Packed bits of the universal soft set: every mask full."""
+        return (1 << len(self.objects) * len(self.parameters)) - 1
+
     def object_mask(self, names: Iterable[str]) -> int:
         index = self.object_index
         mask = 0
@@ -117,25 +126,48 @@ def new_context(objects: Sequence[str], parameters: Sequence[str]) -> Context:
 class SoftSet:
     """An immutable soft set over ``context``.
 
-    ``masks`` holds one bitmask per context parameter, in context order;
-    mask 0 means the parameter is outside the domain.  Use the
-    constructors (:func:`soft_set` and friends) rather than building mask
-    tuples by hand unless you are working at the kernel level.
+    ``bits`` packs one mask per context parameter (see the module
+    docstring); mask 0 means the parameter is outside the domain.  Use
+    the constructors (:func:`soft_set` and friends, or
+    :meth:`from_masks`) rather than packing bits by hand.
     """
 
     context: Context
-    masks: tuple[int, ...]
+    bits: int
 
     def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(self.masks))
-        if len(self.masks) != len(self.context.parameters):
+        if not 0 <= self.bits <= self.context.full_bits:
             raise ValueError(
-                f"expected {len(self.context.parameters)} masks, got {len(self.masks)}"
+                f"bits out of range for a context of "
+                f"{len(self.context.objects)} objects x {len(self.context.parameters)} parameters"
             )
-        full = self.context.full_mask
-        for m in self.masks:
+
+    @classmethod
+    def from_masks(cls, context: Context, masks: Iterable[int]) -> "SoftSet":
+        """Pack one mask per context parameter, in context order."""
+        masks = tuple(masks)
+        if len(masks) != len(context.parameters):
+            raise ValueError(
+                f"expected {len(context.parameters)} masks, got {len(masks)}"
+            )
+        full = context.full_mask
+        width = len(context.objects)
+        bits = 0
+        for m in masks:
             if not 0 <= m <= full:
                 raise ValueError(f"mask {m:#x} out of range for this universe")
+            bits = bits << width | m
+        return cls(context, bits)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One mask per context parameter, in context order."""
+        width = len(self.context.objects)
+        full = self.context.full_mask
+        return tuple(
+            self.bits >> width * i & full
+            for i in reversed(range(len(self.context.parameters)))
+        )
 
     @cached_property
     def assignment(self) -> Mapping[str, frozenset[str]]:
@@ -164,11 +196,10 @@ class SoftSet:
         return self.context.objects_of_mask(m) if m else None
 
     def is_empty(self) -> bool:
-        return not any(self.masks)
+        return not self.bits
 
     def is_universal(self) -> bool:
-        full = self.context.full_mask
-        return all(m == full for m in self.masks)
+        return self.bits == self.context.full_bits
 
     # Operator sugar; the module-level functions in softsets.algebra are
     # the primary interface.  Imports are deferred to avoid a cycle.
@@ -237,23 +268,23 @@ def soft_set(ctx: Context, pairs: Iterable[tuple[str, Iterable[str]]]) -> SoftSe
     functions from the parameter space to nonempty object subsets: a
     parameter mapped to nothing is the same as an undefined parameter.
     """
-    return SoftSet(ctx, _pairs_to_masks(ctx, pairs, strict=False))
+    return SoftSet.from_masks(ctx, _pairs_to_masks(ctx, pairs, strict=False))
 
 
 def strict_soft_set(ctx: Context, pairs: Iterable[tuple[str, Iterable[str]]]) -> SoftSet:
     """Like :func:`soft_set` but an empty image raises EmptyImage."""
-    return SoftSet(ctx, _pairs_to_masks(ctx, pairs, strict=True))
+    return SoftSet.from_masks(ctx, _pairs_to_masks(ctx, pairs, strict=True))
 
 
 def empty_soft_set(ctx: Context) -> SoftSet:
     """The soft set with empty domain."""
-    return SoftSet(ctx, (0,) * len(ctx.parameters))
+    return SoftSet(ctx, 0)
 
 
 def universal_soft_set(ctx: Context) -> SoftSet:
     """The soft set defined on every parameter with every image the
     whole universe."""
-    return SoftSet(ctx, (ctx.full_mask,) * len(ctx.parameters))
+    return SoftSet(ctx, ctx.full_bits)
 
 
 # Free-function accessors mirroring the methods, for call sites that

@@ -225,7 +225,7 @@ def _random_workspace(rng: random.Random) -> Workspace:
     bindings = {}
     for b in range(rng.randint(0, 4)):
         masks = tuple(rng.randint(0, ctx.full_mask) for _ in range(n_params))
-        bindings[f"S{b}"] = SoftSet(ctx, masks)
+        bindings[f"S{b}"] = SoftSet.from_masks(ctx, masks)
     return Workspace(ctx, bindings)
 
 

@@ -2,14 +2,16 @@
 
 Each operation is checked two ways: against hand-computed images on the
 bundled houses data, and against a test-local recomputation working
-directly on images (independent of both the mask kernels and the matrix
-cross-check module).
+directly on images (independent of both the packed encoding and the
+matrix cross-check module).
 """
 
 import itertools
+import random
 
 import pytest
 
+import softsets
 from softsets import algebra
 from softsets.errors import ContextMismatch
 from softsets.houses import (
@@ -23,7 +25,13 @@ from softsets.houses import (
     houses_g,
 )
 from softsets.laws import enumerate_soft_sets
-from softsets.model import empty_soft_set, new_context, soft_set, universal_soft_set
+from softsets.model import (
+    SoftSet,
+    empty_soft_set,
+    new_context,
+    soft_set,
+    universal_soft_set,
+)
 
 from .conftest import all_pairs, make
 
@@ -216,6 +224,15 @@ class TestContextHandling:
         assert algebra.subset(e, e)
         assert e.is_empty() and e.is_universal()
 
+    def test_wide_universe_operations_work_end_to_end(self):
+        # 70 objects: wider than a machine word, with no special path
+        objects = tuple(f"x{i}" for i in range(1, 71))
+        ctx = new_context(objects, ("e1", "e2"))
+        u = universal_soft_set(ctx)
+        assert algebra.complement(u).is_empty()
+        assert algebra.intersection(u, u) == u
+        assert algebra.union(u, algebra.complement(u)) == u
+
     def test_single_object_universe(self):
         ctx = new_context(("only",), ("e1",))
         u = universal_soft_set(ctx)
@@ -235,3 +252,30 @@ def test_operations_never_produce_empty_images(ctx33):
         ):
             for e in result.domain():
                 assert result.image(e)
+
+
+def as_index_sets(s):
+    return [frozenset(k for k in range(len(s.context.objects)) if m >> k & 1) for m in s.masks]
+
+
+def test_operations_match_index_set_arithmetic():
+    # a third route: the same operations done on sets of object positions,
+    # one parameter at a time
+    rng = random.Random(99)
+    ctx = new_context(tuple(f"x{i}" for i in range(1, 10)), ("e1", "e2", "e3", "e4"))
+    universe = frozenset(range(9))
+    for _ in range(300):
+        a, b = (
+            SoftSet.from_masks(ctx, [rng.randint(0, ctx.full_mask) for _ in range(4)])
+            for _ in range(2)
+        )
+        sa, sb = as_index_sets(a), as_index_sets(b)
+        assert as_index_sets(algebra.intersection(a, b)) == [x & y for x, y in zip(sa, sb)]
+        assert as_index_sets(algebra.union(a, b)) == [x | y for x, y in zip(sa, sb)]
+        assert as_index_sets(algebra.difference(a, b)) == [x - y for x, y in zip(sa, sb)]
+        assert as_index_sets(algebra.complement(a)) == [universe - x for x in sa]
+        assert algebra.subset(a, b) == all(x <= y for x, y in zip(sa, sb))
+
+
+def test_softsets_reports_pure():
+    assert softsets.backend_name() == "pure"

@@ -16,7 +16,7 @@ from softsets.houses import (
     bundled_workspace_text,
     houses_workspace,
 )
-from softsets.workspace import render_workspace
+from softsets.workspace import render_soft_set, render_workspace
 
 
 @pytest.fixture
@@ -65,6 +65,25 @@ class TestEval:
         assert main(["eval", str(bad), "F"]) == 3
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expression",
+        [" & ".join(["F"] * 3000), "F" + "^c" * 3000],
+        ids=["3000-term-chain", "3000-complements"],
+    )
+    def test_long_expressions_evaluate(self, houses_file, capsys, expression):
+        assert main(["eval", houses_file, expression]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == render_soft_set(houses_workspace().bindings["F"])
+        assert captured.err == ""
+
+    def test_deep_nesting_exits_2(self, houses_file, capsys):
+        expression = "(" * 2000 + "F" + ")" * 2000
+        assert main(["eval", houses_file, expression]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_output_is_deterministic(self, houses_file, capsys):
         main(["eval", houses_file, "(F | G)^c - F"])
         first = capsys.readouterr().out
@@ -109,6 +128,17 @@ class TestCheckLaws:
         assert code == 3
         assert captured.out == ""  # refused before any report line
         assert "cap" in captured.err
+
+    def test_huge_frame_is_refused_without_building_the_count(self, capsys):
+        # 2**(3000 * 3000) has millions of digits; the cap check compares
+        # bit lengths, so the refusal is immediate and its line is short
+        code = main(["check-laws", "--exhaustive", "--universe", "3000", "--params", "3000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "cap" in captured.err
+        assert len(captured.err) < 100
 
     def test_random_output_is_byte_identical_across_runs(self, capsys):
         args = [

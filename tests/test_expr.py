@@ -11,6 +11,7 @@ from softsets.expr import (
     CARET_C,
     EMPTY_KW,
     LPAREN,
+    MAX_NESTING,
     MINUS,
     NAME,
     PIPE,
@@ -152,6 +153,16 @@ class TestParse:
     def test_parse_accepts_a_token_sequence(self):
         assert parse(tokenize("F | G")) == Union(Name("F"), Name("G"))
 
+    def test_nesting_up_to_the_limit_parses(self):
+        text = "(" * MAX_NESTING + "F" + ")" * MAX_NESTING
+        assert parse_text(text) == Name("F")
+
+    def test_nesting_beyond_the_limit_fails_at_the_opening_parenthesis(self):
+        text = "(" * (MAX_NESTING + 1) + "F" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as exc_info:
+            parse_text(text)
+        assert (exc_info.value.line, exc_info.value.column) == (1, MAX_NESTING + 1)
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -196,6 +207,12 @@ class TestEvaluate:
         env = dict(env, H=make(other, e1="x1"))
         with pytest.raises(ContextMismatch):
             evaluate(parse_text("F | H"), env, ctx)
+
+    def test_left_operand_is_evaluated_first(self, houses):
+        ctx, env = houses
+        with pytest.raises(UnboundName) as exc_info:
+            evaluate(parse_text("(X | F) & Y"), env, ctx)
+        assert exc_info.value.name == "X"
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**9))

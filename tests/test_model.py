@@ -1,5 +1,7 @@
 """Core value types: contexts, soft sets, constructors, accessors."""
 
+import itertools
+
 import pytest
 
 from softsets.errors import (
@@ -11,6 +13,7 @@ from softsets.errors import (
     UnknownObject,
     UnknownParameter,
 )
+from softsets.laws import enumerate_soft_sets
 from softsets.model import (
     SoftSet,
     domain,
@@ -24,7 +27,7 @@ from softsets.model import (
     universal_soft_set,
 )
 
-from .conftest import make
+from .conftest import make, random_sets
 
 
 class TestContext:
@@ -117,11 +120,39 @@ class TestConstruction:
 
     def test_mask_tuple_length_checked(self, ctx22):
         with pytest.raises(ValueError):
-            SoftSet(ctx22, (0,))
+            SoftSet.from_masks(ctx22, (0,))
 
     def test_mask_range_checked(self, ctx22):
         with pytest.raises(ValueError):
-            SoftSet(ctx22, (0, 1 << 2))
+            SoftSet.from_masks(ctx22, (0, 1 << 2))
+
+    def test_bits_range_checked(self, ctx22):
+        assert SoftSet(ctx22, ctx22.full_bits) == universal_soft_set(ctx22)
+        with pytest.raises(ValueError):
+            SoftSet(ctx22, ctx22.full_bits + 1)
+        with pytest.raises(ValueError):
+            SoftSet(ctx22, -1)
+
+
+class TestPackedLayout:
+    def test_first_parameter_sits_in_the_highest_bits(self, ctx32):
+        s = SoftSet.from_masks(ctx32, (0b011, 0b100))
+        assert s.bits == 0b011_100
+        assert s.masks == (0b011, 0b100)
+        assert s.image("e1") == {"x1", "x2"}
+        assert s.image("e2") == {"x3"}
+
+    def test_from_masks_inverts_masks(self, ctx66):
+        for s in random_sets(ctx66, 200, seed=3):
+            assert SoftSet.from_masks(ctx66, s.masks) == s
+
+    @pytest.mark.parametrize("n_objects, n_params", [(2, 2), (3, 2)])
+    def test_enumeration_follows_the_mask_tuple_order(self, n_objects, n_params):
+        ctx = new_context(
+            tuple(f"x{i}" for i in range(n_objects)), tuple(f"e{i}" for i in range(n_params))
+        )
+        expected = itertools.product(range(1 << n_objects), repeat=n_params)
+        assert [s.masks for s in enumerate_soft_sets(ctx)] == list(expected)
 
 
 class TestAccessors:

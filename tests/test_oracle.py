@@ -87,8 +87,8 @@ class TestNormalization:
 
 
 def test_matrix_route_shares_no_mask_code():
-    # the cross-check must keep working when the mask kernels are not
-    # even consulted: build matrices by hand and compare images
+    # the cross-check must keep working when the packed operations are
+    # not even consulted: build matrices by hand and compare images
     ctx = new_context(("x1", "x2"), ("e1", "e2"))
     a = oracle.MatrixSoftSet(
         ctx,

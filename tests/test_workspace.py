@@ -213,7 +213,7 @@ def _workspaces(draw):
             draw(st.integers(min_value=0, max_value=ctx.full_mask))
             for _ in range(n_params)
         )
-        bindings[f"S{b}"] = SoftSet(ctx, masks)
+        bindings[f"S{b}"] = SoftSet.from_masks(ctx, masks)
     return Workspace(ctx, bindings)
 
 
