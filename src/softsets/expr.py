@@ -11,16 +11,27 @@ Grammar (loosest binding first):
 to the left; `^c` is postfix.  Names match [A-Za-z_][A-Za-z0-9_]*, with
 EMPTY and UNIVERSAL reserved as constants.
 
+Laws (``parse_formula``) extend the language with relations and
+connectives:
+
+    formula     := conjunction [ ("=>" | "<=>") conjunction ]
+    conjunction := relation { "and" relation }
+    relation    := expression ("=" | "<=") expression
+
+`=` is equality and `<=` the subset relation; `and` is a connective only
+between relations, so it stays an ordinary name in expressions.
+
 Operator chains and `^c` runs of any length parse in loops; parentheses
-recurse, so they nest at most MAX_NESTING deep.  Evaluation walks the
-tree with an explicit stack, so every tree the parser builds evaluates.
+recurse, so they nest at most MAX_NESTING deep.  Evaluation and
+rendering walk the tree with an explicit stack (``fold``), so every tree
+the parser builds evaluates and renders.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import algebra
 from .errors import ContextMismatch, LexError, ParseError, UnboundName
@@ -36,9 +47,12 @@ __all__ = [
     "Intersect",
     "Union",
     "Difference",
+    "Formula",
     "tokenize",
     "parse",
     "parse_text",
+    "parse_formula",
+    "fold",
     "evaluate",
     "render",
 ]
@@ -58,6 +72,10 @@ LPAREN = "LPAREN"
 RPAREN = "RPAREN"
 EMPTY_KW = "EMPTY_KW"
 UNIV_KW = "UNIV_KW"
+EQ = "EQ"
+LE = "LE"
+IMPLIES = "IMPLIES"
+IFF = "IFF"
 
 
 @dataclass(frozen=True)
@@ -116,6 +134,19 @@ class Difference(Expr):
     right: Expr
 
 
+@dataclass(frozen=True)
+class Formula:
+    """A law node: a relation (``=``, ``<=``) between two expressions, or
+    a connective (``and``, ``=>``, ``<=>``) between two formulas."""
+
+    op: str
+    left: Expr | Formula
+    right: Expr | Formula
+
+
+_BINARY = (Intersect, Union, Difference, Formula)
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -131,6 +162,9 @@ _SINGLE = {
 }
 
 _KEYWORDS = {"EMPTY": EMPTY_KW, "UNIVERSAL": UNIV_KW}
+
+_RELATION_RE = re.compile(r"<=>|<=|=>|=")
+_RELATIONS = {"<=>": IFF, "<=": LE, "=>": IMPLIES, "=": EQ}
 
 
 def tokenize(text: str) -> list[Token]:
@@ -160,6 +194,13 @@ def tokenize(text: str) -> list[Token]:
                 i += 2
                 continue
             raise LexError("expected 'c' after '^'", line, column)
+        m = _RELATION_RE.match(text, i)
+        if m:
+            word = m.group()
+            tokens.append(Token(_RELATIONS[word], word, line, column))
+            column += len(word)
+            i += len(word)
+            continue
         m = _NAME_RE.match(text, i)
         if m:
             word = m.group()
@@ -250,15 +291,42 @@ class _Parser:
             return node
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 
+    def formula(self) -> Formula:
+        node = self.conjunction()
+        tok = self.peek()
+        if tok is not None and tok.kind in (IMPLIES, IFF):
+            self.advance()
+            node = Formula(tok.text, node, self.conjunction())
+        return node
+
+    def conjunction(self) -> Formula:
+        node = self.relation()
+        while (tok := self.peek()) is not None and tok.kind == NAME and tok.text == "and":
+            self.advance()
+            node = Formula("and", node, self.relation())
+        return node
+
+    def relation(self) -> Formula:
+        left = self.expression()
+        tok = self.peek()
+        if tok is None or tok.kind not in (EQ, LE):
+            line, column = (tok.line, tok.column) if tok else self._end_position()
+            raise ParseError("expected '=' or '<='", line, column)
+        self.advance()
+        return Formula(tok.text, left, self.expression())
+
+    def finish(self) -> None:
+        trailing = self.peek()
+        if trailing is not None:
+            raise ParseError(
+                f"trailing input starting at {trailing.text!r}", trailing.line, trailing.column
+            )
+
 
 def parse(tokens: Sequence[Token]) -> Expr:
     parser = _Parser(tokens)
     node = parser.expression()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(
-            f"trailing input starting at {trailing.text!r}", trailing.line, trailing.column
-        )
+    parser.finish()
     return node
 
 
@@ -266,21 +334,46 @@ def parse_text(text: str) -> Expr:
     return parse(tokenize(text))
 
 
+def parse_formula(text: str) -> Formula:
+    """Parse the text of a law, e.g. ``F <= G <=> F & G = F``."""
+    parser = _Parser(tokenize(text))
+    node = parser.formula()
+    parser.finish()
+    return node
+
+
 # ---------------------------------------------------------------------------
 # Evaluation and rendering
 
 
-def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
-    """Evaluate bottom-up, delegating each operator to the algebra.
-
-    A post-order walk over an explicit stack: a node is pushed once to
-    schedule its children (left evaluated first) and once more to apply
-    its operator to their values.
-    """
-    values: list[SoftSet] = []
-    stack: list[tuple[Expr, bool]] = [(ast, False)]
+def fold(ast: Expr | Formula, combine: Callable):
+    """Post-order walk over an explicit stack: ``combine(node, *values)``
+    gets the values of a node's children, left first, and returns the
+    node's value.  Leaves get no values.  Returns the root's value."""
+    values: list = []
+    stack: list[tuple[Expr | Formula, bool]] = [(ast, False)]
     while stack:
         node, ready = stack.pop()
+        if isinstance(node, Complement):
+            if ready:
+                values.append(combine(node, values.pop()))
+            else:
+                stack += ((node, True), (node.child, False))
+        elif isinstance(node, _BINARY):
+            if ready:
+                right = values.pop()
+                values.append(combine(node, values.pop(), right))
+            else:
+                stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            values.append(combine(node))
+    return values.pop()
+
+
+def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
+    """Evaluate bottom-up, delegating each operator to the algebra."""
+
+    def combine(node: Expr, *values: SoftSet) -> SoftSet:
         if isinstance(node, Name):
             if node.identifier not in env:
                 raise UnboundName(node.identifier)
@@ -289,47 +382,50 @@ def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
                 raise ContextMismatch(
                     f"name {node.identifier} is bound in a different context"
                 )
-            values.append(value)
-        elif isinstance(node, Empty):
-            values.append(empty_soft_set(ctx))
-        elif isinstance(node, Universal):
-            values.append(universal_soft_set(ctx))
-        elif isinstance(node, Complement):
-            if ready:
-                values.append(algebra.complement(values.pop()))
-            else:
-                stack += ((node, True), (node.child, False))
-        elif isinstance(node, (Intersect, Union, Difference)):
-            if ready:
-                right = values.pop()
-                left = values.pop()
-                if isinstance(node, Intersect):
-                    values.append(algebra.intersection(left, right))
-                elif isinstance(node, Union):
-                    values.append(algebra.union(left, right))
-                else:
-                    values.append(algebra.difference(left, right))
-            else:
-                stack += ((node, True), (node.right, False), (node.left, False))
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    return values.pop()
+            return value
+        if isinstance(node, Empty):
+            return empty_soft_set(ctx)
+        if isinstance(node, Universal):
+            return universal_soft_set(ctx)
+        if isinstance(node, Complement):
+            return algebra.complement(*values)
+        if isinstance(node, Intersect):
+            return algebra.intersection(*values)
+        if isinstance(node, Union):
+            return algebra.union(*values)
+        if isinstance(node, Difference):
+            return algebra.difference(*values)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return fold(ast, combine)
+
+
+# Symbol and precedence level of each binary operator.
+_OPERATORS = {Union: ("|", 1), Intersect: ("&", 2), Difference: ("-", 2)}
 
 
 def render(ast: Expr) -> str:
-    """Fully parenthesized text that reparses to an identical tree."""
-    if isinstance(ast, Name):
-        return ast.identifier
-    if isinstance(ast, Empty):
-        return "EMPTY"
-    if isinstance(ast, Universal):
-        return "UNIVERSAL"
-    if isinstance(ast, Complement):
-        return f"{render(ast.child)}^c"
-    if isinstance(ast, Intersect):
-        return f"({render(ast.left)} & {render(ast.right)})"
-    if isinstance(ast, Union):
-        return f"({render(ast.left)} | {render(ast.right)})"
-    if isinstance(ast, Difference):
-        return f"({render(ast.left)} - {render(ast.right)})"
-    raise TypeError(f"not an expression node: {ast!r}")
+    """Text that reparses to an identical tree.  Every binary operation
+    is parenthesized, except a left operand at its parent's own level:
+    ``(F & G) & H`` renders as ``(F & G & H)``, so left-associative
+    chains of any length add no nesting."""
+
+    def wrap(part: tuple[str, int | None], level: int | None = None) -> str:
+        text, part_level = part
+        return text if part_level in (None, level) else f"({text})"
+
+    def combine(node: Expr, *parts: tuple[str, int | None]) -> tuple[str, int | None]:
+        if isinstance(node, Name):
+            return node.identifier, None
+        if isinstance(node, Empty):
+            return "EMPTY", None
+        if isinstance(node, Universal):
+            return "UNIVERSAL", None
+        if isinstance(node, Complement):
+            return f"{wrap(parts[0])}^c", None
+        if type(node) in _OPERATORS:
+            symbol, level = _OPERATORS[type(node)]
+            return f"{wrap(parts[0], level)} {symbol} {wrap(parts[1])}", level
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return wrap(fold(ast, combine))

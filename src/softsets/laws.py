@@ -6,24 +6,29 @@ counterexample shrinking.
 Every law is a named, arity-tagged identity whose ``check`` procedure
 either returns None (the law holds on the given arguments) or a short
 violation detail.  Checks are pure, so a reported counterexample always
-replays.
+replays.  Catalog laws are written once, as text in the expression
+language with relations and connectives (``formula_law``); their checks
+also evaluate every argument tuple at once for exhaustive checking.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property, reduce
 from typing import Callable, Iterator
 
-from . import algebra
+from . import algebra, expr
 from .errors import EnumerationTooLarge
 from .model import Context, SoftSet, empty_soft_set, universal_soft_set
 
 __all__ = [
     "DEFAULT_CAP",
     "Law",
+    "FormulaCheck",
+    "formula_law",
     "Counterexample",
     "CheckReport",
     "soft_set_count",
@@ -152,206 +157,236 @@ def random_soft_set(
 
 
 # ---------------------------------------------------------------------------
+# Laws written as text
+#
+# A law's text parses into a formula (``expr.parse_formula``) and
+# compiles into a FormulaCheck, which evaluates it in two ways:
+#
+# * on one argument tuple, through Python source generated from the
+#   formula at its first call, making the same ``algebra`` calls a
+#   hand-written check would; random checking, shrinking and replay use
+#   this;
+# * on every argument tuple at once, bit-sliced: bit j of argument i,
+#   over all tuples, is one "plane", an int whose bit t is that bit in
+#   tuple t (``itertools.product`` order, the last argument varying
+#   fastest).  Every soft-set operation is bitwise on the packed bits, so
+#   it applies plane by plane, and a relation reduces its planes to one
+#   truth plane over the tuples.  Exhaustive checking uses this.
+
+# Tuple-index bits per plane: a chunk covers 2**CHUNK_BITS tuples, and
+# higher index bits are constant within a chunk.
+CHUNK_BITS = 16
+
+# Names the generated checks call, by node type or operator.
+_CALLS = {
+    expr.Intersect: "_intersection",
+    expr.Union: "_union",
+    expr.Difference: "_difference",
+    "=": "_equals",
+    "<=": "_subset",
+}
+_CONNECTIVES = {"and": "({} and {})", "=>": "(not {} or {})", "<=>": "({} == {})"}
+_FAILURES = {
+    "=": "left side {!r} differs from right side {!r}",
+    "<=": "{!r} is not a subset of {!r}",
+    "<=>": "the left side is {} but the right side is {}",
+}
+
+
+@cache
+def _low_planes(width: int) -> tuple[int, ...]:
+    """Plane b over 2**width tuples: bit t is set iff bit b of t is.  One
+    period (2**b zeros, then 2**b ones) doubles until it fills the plane."""
+    size = 1 << width
+    planes = []
+    for b in range(width):
+        run = 1 << b
+        plane, length = ((1 << run) - 1) << run, 2 * run
+        while length < size:
+            plane |= plane << length
+            length *= 2
+        planes.append(plane)
+    return tuple(planes)
+
+
+class FormulaCheck:
+    """The ``check`` of a law written as text.
+
+    Called as ``check(ctx, args)`` it returns None or a violation detail,
+    like any law check.  ``first_failure(ctx)`` finds the index of the
+    first violating tuple of an exhaustive check without building one.
+    """
+
+    def __init__(self, text: str, arg_names: tuple[str, ...]):
+        self.text = text
+        self.arg_names = arg_names
+        self.formula = expr.parse_formula(text)
+        names = set()
+        expr.fold(
+            self.formula,
+            lambda node, *_: names.add(node.identifier) if isinstance(node, expr.Name) else None,
+        )
+        if names != set(arg_names):
+            raise ValueError(f"law {text!r} names {sorted(names)}, not the arguments {list(arg_names)}")
+        self._index = {name: i for i, name in enumerate(arg_names)}
+
+    def __call__(self, ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
+        return self._scalar(ctx, args)
+
+    def __repr__(self) -> str:
+        return f"FormulaCheck({self.text!r}, {self.arg_names!r})"
+
+    @cached_property
+    def _scalar(self) -> CheckFn:
+        """One tuple: Python source generated from the formula, calling
+        the algebra exactly as a hand-written check would.  Compiled at
+        the first call, so exhaustive checks of laws that hold skip it."""
+        lines = ["def check(ctx, args):"]
+        if self.arg_names:
+            lines.append(f" {''.join(f'_a{i},' for i in range(len(self.arg_names)))} = args")
+        temps = itertools.count()
+
+        def source(node, *parts: str) -> str:
+            if isinstance(node, expr.Name):
+                return f"_a{self._index[node.identifier]}"
+            if isinstance(node, expr.Empty):
+                return "_empty(ctx)"
+            if isinstance(node, expr.Universal):
+                return "_universal(ctx)"
+            if isinstance(node, expr.Complement):
+                return f"_complement({parts[0]})"
+            if not isinstance(node, expr.Formula):
+                return f"{_CALLS[type(node)]}({parts[0]}, {parts[1]})"
+            if node.op in _CONNECTIVES:
+                return _CONNECTIVES[node.op].format(*parts)
+            return f"{_CALLS[node.op]}({parts[0]}, {parts[1]})"
+
+        def refute(f: expr.Formula, indent: str) -> None:
+            """Append statements that return a detail when f fails."""
+            if f.op == "and":
+                refute(f.left, indent)
+                refute(f.right, indent)
+            elif f.op == "=>":
+                lines.append(f"{indent}if {expr.fold(f.left, source)}:")
+                refute(f.right, indent + " ")
+            else:
+                n = next(temps)
+                test = "_l{0} != _r{0}" if f.op == "<=>" else f"not {_CALLS[f.op]}(_l{{0}}, _r{{0}})"
+                lines.extend([
+                    f"{indent}_l{n} = {expr.fold(f.left, source)}",
+                    f"{indent}_r{n} = {expr.fold(f.right, source)}",
+                    f"{indent}if {test.format(n)}:",
+                    f"{indent} return {_FAILURES[f.op]!r}.format(_l{n}, _r{n})",
+                ])
+
+        refute(self.formula, " ")
+        namespace = {"_" + name: getattr(algebra, name) for name in algebra.__all__}
+        namespace.update(_empty=empty_soft_set, _universal=universal_soft_set)
+        exec("\n".join(lines), namespace)
+        return namespace["check"]
+
+    def first_failure(self, ctx: Context) -> int | None:
+        """Every tuple, bit-sliced: the index of the first argument tuple,
+        in ``itertools.product`` order, that violates the law, or None
+        when every tuple satisfies it."""
+        n = len(ctx.objects) * len(ctx.parameters)
+        arity = len(self.arg_names)
+        width = min(n * arity, CHUNK_BITS)
+        low = _low_planes(width)
+        ones = (1 << (1 << width)) - 1
+
+        def planewise(node, *values):
+            # A soft set is a list of n planes, a formula one truth plane.
+            if isinstance(node, expr.Name):
+                return planes[self._index[node.identifier]]
+            if isinstance(node, expr.Empty):
+                return [0] * n
+            if isinstance(node, expr.Universal):
+                return [ones] * n
+            if isinstance(node, expr.Complement):
+                return [ones ^ p for p in values[0]]
+            a, b = values
+            if isinstance(node, expr.Intersect):
+                return [p & q for p, q in zip(a, b)]
+            if isinstance(node, expr.Union):
+                return [p | q for p, q in zip(a, b)]
+            if isinstance(node, expr.Difference):
+                return [p & ~q for p, q in zip(a, b)]
+            if node.op == "=":
+                return ones ^ reduce(operator.or_, map(operator.xor, a, b), 0)
+            if node.op == "<=":
+                return ones ^ reduce(operator.or_, (p & ~q for p, q in zip(a, b)), 0)
+            if node.op == "and":
+                return a & b
+            if node.op == "=>":
+                return (ones ^ a) | b
+            return ones ^ a ^ b
+
+        for chunk in range(1 << (n * arity - width)):
+            # Bit j of argument i is bit n*(arity-1-i) + j of the tuple index.
+            planes = [
+                [
+                    low[b] if b < width else ones * (chunk >> (b - width) & 1)
+                    for b in range(n * (arity - 1 - i), n * (arity - i))
+                ]
+                for i in range(arity)
+            ]
+            failing = ones ^ expr.fold(self.formula, planewise)
+            if failing:
+                return (chunk << width) + (failing & -failing).bit_length() - 1
+        return None
+
+
+def formula_law(law_id: str, arg_names: str, text: str) -> Law:
+    """A law written as text over the space-separated ``arg_names``, in
+    argument order; its statement is the text."""
+    names = tuple(arg_names.split())
+    return Law(law_id, len(names), text, FormulaCheck(text, names), names)
+
+
+# ---------------------------------------------------------------------------
 # The catalog
-
-
-def _eq_law(
-    law_id: str,
-    arity: int,
-    statement: str,
-    lhs: Callable,
-    rhs: Callable,
-    arg_names: tuple[str, ...] | None = None,
-) -> Law:
-    def check(ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
-        left = lhs(ctx, *args)
-        right = rhs(ctx, *args)
-        if algebra.equals(left, right):
-            return None
-        return f"left side {left!r} differs from right side {right!r}"
-
-    names = arg_names if arg_names is not None else ("F", "G", "H")[:arity]
-    return Law(law_id, arity, statement, check, names)
-
-
-def _check_bounds(ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
-    (f,) = args
-    if not algebra.subset(empty_soft_set(ctx), f):
-        return f"EMPTY is not a subset of {f!r}"
-    if not algebra.subset(f, universal_soft_set(ctx)):
-        return f"{f!r} is not a subset of UNIVERSAL"
-    return None
-
-
-def _monotonicity_check(op) -> CheckFn:
-    def check(ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
-        f1, g1, f2, g2 = args
-        if not (algebra.subset(f1, g1) and algebra.subset(f2, g2)):
-            return None  # hypothesis not met: vacuous pass
-        if algebra.subset(op(f1, f2), op(g1, g2)):
-            return None
-        return f"{op(f1, f2)!r} is not a subset of {op(g1, g2)!r}"
-
-    return check
-
-
-def _iff_check(rhs_holds: Callable[[SoftSet, SoftSet], bool]) -> CheckFn:
-    def check(ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
-        f, g = args
-        left = algebra.subset(f, g)
-        right = rhs_holds(f, g)
-        if left == right:
-            return None
-        return f"subset is {left} but the characterizing equation is {right}"
-
-    return check
-
-
-def _complement_fwd(ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
-    f, g = args
-    if not algebra.equals(g, algebra.complement(f)):
-        return None
-    if not algebra.intersection(f, g).is_empty():
-        return f"F & G = {algebra.intersection(f, g)!r} is not EMPTY"
-    if not algebra.union(f, g).is_universal():
-        return f"F | G = {algebra.union(f, g)!r} is not UNIVERSAL"
-    return None
-
-
-def _complement_bwd(ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
-    f, g = args
-    if not (algebra.intersection(f, g).is_empty() and algebra.union(f, g).is_universal()):
-        return None
-    if algebra.equals(g, algebra.complement(f)):
-        return None
-    return f"{g!r} differs from the complement {algebra.complement(f)!r}"
 
 
 @cache
 def law_catalog() -> tuple[Law, ...]:
     """The full fixed catalog, one entry per verified assertion."""
-    inter, union, comp, diff = (
-        algebra.intersection,
-        algebra.union,
-        algebra.complement,
-        algebra.difference,
-    )
     return (
-        _eq_law(
-            "identity-1", 1, "F & UNIVERSAL = F",
-            lambda ctx, f: inter(f, universal_soft_set(ctx)),
-            lambda ctx, f: f,
+        formula_law("identity-1", "F", "F & UNIVERSAL = F"),
+        formula_law("identity-2", "F", "F | EMPTY = F"),
+        formula_law("domination-1", "F", "F & EMPTY = EMPTY"),
+        formula_law("domination-2", "F", "F | UNIVERSAL = UNIVERSAL"),
+        formula_law("idempotent-1", "F", "F & F = F"),
+        formula_law("idempotent-2", "F", "F | F = F"),
+        formula_law("commutative-1", "F G", "F & G = G & F"),
+        formula_law("commutative-2", "F G", "F | G = G | F"),
+        formula_law("associative-1", "F G H", "(F & G) & H = F & (G & H)"),
+        formula_law("associative-2", "F G H", "(F | G) | H = F | (G | H)"),
+        formula_law("distributive-1", "F G H", "F & (G | H) = (F & G) | (F & H)"),
+        formula_law("distributive-2", "F G H", "F | (G & H) = (F | G) & (F | H)"),
+        formula_law("bounds", "F", "EMPTY <= F and F <= UNIVERSAL"),
+        formula_law(
+            "monotonicity-cap", "F1 G1 F2 G2",
+            "F1 <= G1 and F2 <= G2 => F1 & F2 <= G1 & G2",
         ),
-        _eq_law(
-            "identity-2", 1, "F | EMPTY = F",
-            lambda ctx, f: union(f, empty_soft_set(ctx)),
-            lambda ctx, f: f,
+        formula_law(
+            "monotonicity-cup", "F1 G1 F2 G2",
+            "F1 <= G1 and F2 <= G2 => F1 | F2 <= G1 | G2",
         ),
-        _eq_law(
-            "domination-1", 1, "F & EMPTY = EMPTY",
-            lambda ctx, f: inter(f, empty_soft_set(ctx)),
-            lambda ctx, f: empty_soft_set(ctx),
+        formula_law("subset-iff-cap", "F G", "F <= G <=> F & G = F"),
+        formula_law("subset-iff-cup", "F G", "F <= G <=> F | G = G"),
+        formula_law(
+            "complement-characterization-fwd", "F G",
+            "G = F^c => F & G = EMPTY and F | G = UNIVERSAL",
         ),
-        _eq_law(
-            "domination-2", 1, "F | UNIVERSAL = UNIVERSAL",
-            lambda ctx, f: union(f, universal_soft_set(ctx)),
-            lambda ctx, f: universal_soft_set(ctx),
+        formula_law(
+            "complement-characterization-bwd", "F G",
+            "F & G = EMPTY and F | G = UNIVERSAL => G = F^c",
         ),
-        _eq_law(
-            "idempotent-1", 1, "F & F = F",
-            lambda ctx, f: inter(f, f),
-            lambda ctx, f: f,
-        ),
-        _eq_law(
-            "idempotent-2", 1, "F | F = F",
-            lambda ctx, f: union(f, f),
-            lambda ctx, f: f,
-        ),
-        _eq_law(
-            "commutative-1", 2, "F & G = G & F",
-            lambda ctx, f, g: inter(f, g),
-            lambda ctx, f, g: inter(g, f),
-        ),
-        _eq_law(
-            "commutative-2", 2, "F | G = G | F",
-            lambda ctx, f, g: union(f, g),
-            lambda ctx, f, g: union(g, f),
-        ),
-        _eq_law(
-            "associative-1", 3, "(F & G) & H = F & (G & H)",
-            lambda ctx, f, g, h: inter(inter(f, g), h),
-            lambda ctx, f, g, h: inter(f, inter(g, h)),
-        ),
-        _eq_law(
-            "associative-2", 3, "(F | G) | H = F | (G | H)",
-            lambda ctx, f, g, h: union(union(f, g), h),
-            lambda ctx, f, g, h: union(f, union(g, h)),
-        ),
-        _eq_law(
-            "distributive-1", 3, "F & (G | H) = (F & G) | (F & H)",
-            lambda ctx, f, g, h: inter(f, union(g, h)),
-            lambda ctx, f, g, h: union(inter(f, g), inter(f, h)),
-        ),
-        _eq_law(
-            "distributive-2", 3, "F | (G & H) = (F | G) & (F | H)",
-            lambda ctx, f, g, h: union(f, inter(g, h)),
-            lambda ctx, f, g, h: inter(union(f, g), union(f, h)),
-        ),
-        Law(
-            "bounds", 1,
-            "EMPTY is a subset of F, and F is a subset of UNIVERSAL",
-            _check_bounds, ("F",),
-        ),
-        Law(
-            "monotonicity-cap", 4,
-            "if F1 is a subset of G1 and F2 of G2, then F1 & F2 is a subset of G1 & G2",
-            _monotonicity_check(inter), ("F1", "G1", "F2", "G2"),
-        ),
-        Law(
-            "monotonicity-cup", 4,
-            "if F1 is a subset of G1 and F2 of G2, then F1 | F2 is a subset of G1 | G2",
-            _monotonicity_check(union), ("F1", "G1", "F2", "G2"),
-        ),
-        Law(
-            "subset-iff-cap", 2,
-            "F is a subset of G iff F & G = F",
-            _iff_check(lambda f, g: algebra.equals(inter(f, g), f)), ("F", "G"),
-        ),
-        Law(
-            "subset-iff-cup", 2,
-            "F is a subset of G iff F | G = G",
-            _iff_check(lambda f, g: algebra.equals(union(f, g), g)), ("F", "G"),
-        ),
-        Law(
-            "complement-characterization-fwd", 2,
-            "if G = F^c then F & G = EMPTY and F | G = UNIVERSAL",
-            _complement_fwd, ("F", "G"),
-        ),
-        Law(
-            "complement-characterization-bwd", 2,
-            "if F & G = EMPTY and F | G = UNIVERSAL then G = F^c",
-            _complement_bwd, ("F", "G"),
-        ),
-        _eq_law(
-            "involution", 1, "F^c^c = F",
-            lambda ctx, f: comp(comp(f)),
-            lambda ctx, f: f,
-        ),
-        _eq_law(
-            "demorgan-1", 2, "(F & G)^c = F^c | G^c",
-            lambda ctx, f, g: comp(inter(f, g)),
-            lambda ctx, f, g: union(comp(f), comp(g)),
-        ),
-        _eq_law(
-            "demorgan-2", 2, "(F | G)^c = F^c & G^c",
-            lambda ctx, f, g: comp(union(f, g)),
-            lambda ctx, f, g: inter(comp(f), comp(g)),
-        ),
-        _eq_law(
-            "difference-as-intersection", 2, "F - G = F & G^c",
-            lambda ctx, f, g: diff(f, g),
-            lambda ctx, f, g: inter(f, comp(g)),
-        ),
+        formula_law("involution", "F", "F^c^c = F"),
+        formula_law("demorgan-1", "F G", "(F & G)^c = F^c | G^c"),
+        formula_law("demorgan-2", "F G", "(F | G)^c = F^c & G^c"),
+        formula_law("difference-as-intersection", "F G", "F - G = F & G^c"),
     )
 
 
@@ -383,8 +418,24 @@ def _report_violation(
 
 
 def check_exhaustive(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> CheckReport:
-    """Evaluate the law on every argument tuple over ctx."""
+    """Evaluate the law on every argument tuple over ctx.
+
+    A law written as text is checked bit-sliced; any other check is
+    called once per tuple.  Both count cases the same way: a failure at
+    tuple index t is reported as case t + 1.
+    """
     check_cap(law, ctx, cap)
+    if isinstance(law.check, FormulaCheck):
+        index = law.check.first_failure(ctx)
+        n_bits = len(ctx.objects) * len(ctx.parameters)
+        if index is None:
+            return CheckReport(law.id, "exhaustive", 1 << n_bits * law.arity, None, None)
+        mask = (1 << n_bits) - 1
+        args = tuple(
+            SoftSet(ctx, index >> n_bits * (law.arity - 1 - i) & mask)
+            for i in range(law.arity)
+        )
+        return _report_violation(law, "exhaustive", index + 1, ctx, args, None)
     all_sets = list(enumerate_soft_sets(ctx, cap=cap))
     cases = 0
     for args in itertools.product(all_sets, repeat=law.arity):

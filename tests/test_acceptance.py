@@ -195,6 +195,14 @@ def test_acceptance_4_mutation_sensitivity():
         cex = report.counterexample
         if broken.check(cex.context, cex.args) is None:
             failures.append(f"{broken.id}: shrunken counterexample no longer violates")
+    # exhaustively too, which checks the laws written as text bit-sliced
+    small = new_context(("x1", "x2"), ("e1", "e2"))
+    for broken in BROKEN_LAWS:
+        report = check_exhaustive(broken, small)
+        if report.passed:
+            failures.append(f"{broken.id}: no counterexample among all 2x2 tuples")
+        elif broken.check(report.counterexample.context, report.counterexample.args) is None:
+            failures.append(f"{broken.id}: exhaustive counterexample no longer violates")
     _finish(4, "mutation sensitivity", failures)
 
 

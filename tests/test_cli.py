@@ -55,6 +55,19 @@ class TestEval:
         assert main(["eval", houses_file, "(F | G"]) == 2
         assert "parenthesis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expression", ["F = G", "F <= G", "F => G", "F <=> G", "F and G"])
+    def test_law_relations_are_not_expressions(self, houses_file, capsys, expression):
+        assert main(["eval", houses_file, expression]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1:3" in captured.err
+
+    def test_and_is_a_binding_name(self, tmp_path, capsys):
+        path = tmp_path / "and.sset"
+        path.write_text("universe: a b\nparameters: p q\nsoftset and:\n  p: a\nsoftset F:\n  q: b\n")
+        assert main(["eval", str(path), "and | F"]) == 0
+        assert capsys.readouterr().out == "p: a\nq: b\n"
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.sset"), "F"]) == 3
         assert capsys.readouterr().err != ""

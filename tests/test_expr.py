@@ -10,6 +10,10 @@ from softsets.expr import (
     AMP,
     CARET_C,
     EMPTY_KW,
+    EQ,
+    IFF,
+    IMPLIES,
+    LE,
     LPAREN,
     MAX_NESTING,
     MINUS,
@@ -20,12 +24,14 @@ from softsets.expr import (
     Complement,
     Difference,
     Empty,
+    Formula,
     Intersect,
     Name,
     Union,
     Universal,
     evaluate,
     parse,
+    parse_formula,
     parse_text,
     render,
     tokenize,
@@ -264,3 +270,58 @@ class TestRender:
     def test_render_is_stable_under_reparsing(self, tree):
         text = render(tree)
         assert render(parse_text(text)) == text
+
+    def test_left_chains_need_no_parentheses(self):
+        assert render(parse_text("(F & G) & H")) == "(F & G & H)"
+        assert render(parse_text("F - G & H")) == "(F - G & H)"
+        assert render(parse_text("(F & G) | H")) == "((F & G) | H)"
+
+    @pytest.mark.parametrize(
+        "text",
+        [" & ".join(["F"] * 3000), "F" + "^c" * 3000],
+        ids=["3000-term-chain", "3000-complements"],
+    )
+    def test_deep_trees_render_and_reparse(self, text):
+        # compares text: the dataclass == and repr of such trees recurse
+        rendered = render(parse_text(text))
+        assert render(parse_text(rendered)) == rendered
+        assert rendered.count("F") == text.count("F")
+
+
+class TestFormula:
+    def test_relation_tokens(self):
+        assert kinds("= <= => <=>") == [EQ, LE, IMPLIES, IFF]
+        assert kinds("F<=G") == [NAME, LE, NAME]
+
+    def test_lone_angle_bracket_is_illegal(self):
+        with pytest.raises(LexError):
+            tokenize("F < G")
+
+    def test_relations(self):
+        assert parse_formula("F & G = G & F") == Formula(
+            "=", Intersect(Name("F"), Name("G")), Intersect(Name("G"), Name("F"))
+        )
+        assert parse_formula("F <= F | G") == Formula(
+            "<=", Name("F"), Union(Name("F"), Name("G"))
+        )
+
+    def test_connectives_bind_looser_than_relations(self):
+        f, g, h = Name("F"), Name("G"), Name("H")
+        assert parse_formula("F <= G and G <= H => F <= H") == Formula(
+            "=>",
+            Formula("and", Formula("<=", f, g), Formula("<=", g, h)),
+            Formula("<=", f, h),
+        )
+        assert parse_formula("F <= G <=> F & G = F") == Formula(
+            "<=>", Formula("<=", f, g), Formula("=", Intersect(f, g), f)
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["F", "F = G = H", "F => G", "F = G => G = F => F = G", "(F = G)", "F = G and"]
+    )
+    def test_malformed_laws(self, text):
+        with pytest.raises(ParseError):
+            parse_formula(text)
+
+    def test_and_stays_a_name_in_expressions(self):
+        assert parse_text("and & F") == Intersect(Name("and"), Name("F"))

@@ -2,18 +2,28 @@
 generation, exhaustive and randomized verification, shrinking."""
 
 import itertools
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softsets
 from softsets import algebra
 from softsets.errors import EnumerationTooLarge
 from softsets.laws import (
+    CHUNK_BITS,
     DEFAULT_CAP,
+    FormulaCheck,
+    check_cap,
     check_exhaustive,
     check_random,
     enumerate_soft_sets,
+    formula_law,
     law_catalog,
     lookup,
     random_soft_set,
@@ -57,6 +67,38 @@ class TestCatalog:
         assert lookup("bounds").arity == 1
         with pytest.raises(KeyError):
             lookup("no-such-law")
+
+
+class TestFormulaLaws:
+    def test_every_catalog_law_is_its_text(self):
+        for law in law_catalog():
+            assert isinstance(law.check, FormulaCheck), law.id
+            assert law.check.text == law.statement
+            assert law.check.arg_names == law.arg_names
+
+    def test_argument_order_is_fixed(self):
+        # the order numbers the exhaustive cases, so it must not follow
+        # the order in which names appear in the text
+        assert lookup("monotonicity-cap").arg_names == ("F1", "G1", "F2", "G2")
+        assert lookup("complement-characterization-fwd").arg_names == ("F", "G")
+
+    @pytest.mark.parametrize("names,text", [("F", "F = G"), ("F G", "F = F")])
+    def test_names_must_match_the_arguments(self, names, text):
+        with pytest.raises(ValueError):
+            formula_law("mismatch", names, text)
+
+    def test_violation_details(self, ctx22):
+        f, g = make(ctx22, e1="x1"), make(ctx22, e1="x2")
+        assert formula_law("eq", "F G", "F = G").check(ctx22, (f, g)) == (
+            f"left side {f!r} differs from right side {g!r}"
+        )
+        assert formula_law("le", "F G", "F <= G").check(ctx22, (f, g)) == (
+            f"{f!r} is not a subset of {g!r}"
+        )
+        assert formula_law("iff", "F G", "F <= G <=> F = F").check(ctx22, (f, g)) == (
+            "the left side is False but the right side is True"
+        )
+        assert formula_law("imp", "F G", "F = G => F <= G").check(ctx22, (f, g)) is None
 
 
 class TestEnumeration:
@@ -158,6 +200,82 @@ class TestCheckExhaustive:
         assert report.cases <= 256
         cex = report.counterexample
         assert broken.check(cex.context, cex.args) is not None
+
+
+# Every law written as text, plus one whose first failure at 3 x 2 lies
+# past the first chunk: it needs F = UNIVERSAL (soft set 63 of 64), which
+# holds only in the last 2**12 of the 2**18 tuples.
+TEXT_LAWS = (
+    law_catalog()
+    + tuple(law for law in BROKEN_LAWS if isinstance(law.check, FormulaCheck))
+    + (formula_law("universal-forces-equality", "F G H", "F = UNIVERSAL => G = H"),)
+)
+FRAMES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3)]
+
+
+def _frame(n_objects, n_params):
+    return new_context(
+        tuple(f"x{i}" for i in range(1, n_objects + 1)),
+        tuple(f"e{i}" for i in range(1, n_params + 1)),
+    )
+
+
+def _first_failure_by_scan(law, ctx):
+    sets = list(enumerate_soft_sets(ctx))
+    for index, args in enumerate(itertools.product(sets, repeat=law.arity)):
+        if law.check(ctx, args) is not None:
+            return index
+    return None
+
+
+class TestSlicedChecking:
+    @pytest.mark.parametrize("law", TEXT_LAWS, ids=lambda law: law.id)
+    def test_agrees_with_a_scan_of_every_tuple(self, law):
+        for n_objects, n_params in FRAMES:
+            ctx = _frame(n_objects, n_params)
+            try:
+                check_cap(law, ctx)
+            except EnumerationTooLarge:
+                continue
+            expected = _first_failure_by_scan(law, ctx)
+            assert law.check.first_failure(ctx) == expected, (n_objects, n_params)
+            report = check_exhaustive(law, ctx)
+            if expected is None:
+                assert report.passed
+                assert report.cases == soft_set_count(ctx) ** law.arity
+            else:
+                scalar = replace(law, check=lambda c, args: law.check(c, args))
+                assert report == check_exhaustive(scalar, ctx)
+                assert report.cases == expected + 1
+
+    def test_first_failure_past_the_first_chunk(self, ctx32):
+        law = TEXT_LAWS[-1]
+        index = law.check.first_failure(ctx32)
+        assert index == (63 << 12) + 1  # F universal, G empty, H the first nonempty set
+        assert index >= 1 << CHUNK_BITS
+
+    def test_difference_monotonicity_is_refuted(self, ctx22, ctx33):
+        law = BROKEN_LAWS[-1]
+        assert check_exhaustive(law, ctx22).cases == 4354
+        assert check_random(law, ctx33, trials=1000, seed=0).cases == 9
+
+    def test_exhaustive_checking_imports_no_numpy(self):
+        code = (
+            "import sys, softsets.cli\n"
+            "from softsets import laws\n"
+            "from softsets.model import new_context\n"
+            "ctx = new_context(('x1', 'x2'), ('e1', 'e2'))\n"
+            "assert laws.check_exhaustive(laws.lookup('monotonicity-cap'), ctx).passed\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(softsets.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestCheckRandom:
