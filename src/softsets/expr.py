@@ -22,15 +22,17 @@ connectives:
 between relations, so it stays an ordinary name in expressions.
 
 Operator chains and `^c` runs of any length parse in loops; parentheses
-recurse, so they nest at most MAX_NESTING deep.  Evaluation and
-rendering walk the tree with an explicit stack (``fold``), so every tree
-the parser builds evaluates and renders.
+recurse, so they nest at most MAX_NESTING deep.  Evaluation, rendering,
+comparison, hashing and ``repr`` walk the tree with explicit stacks,
+mostly through ``fold``, so every tree the parser builds evaluates,
+renders and compares; and as rendering emits only the parentheses the
+tree needs, its text nests no deeper than the source and parses again.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 from . import algebra
@@ -86,13 +88,71 @@ class Token:
     column: int
 
 
-class Expr:
+class _Node:
+    """Base of expression and formula nodes.
+
+    Trees may be far deeper than the recursion limit (a 3,000-term chain
+    parses into a tree 3,000 deep), so ``==``, ``hash`` and ``repr`` walk
+    them with explicit stacks instead of the recursive methods that
+    dataclasses generate."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        """The tree as one flat tuple, in post-order: each node's type,
+        followed by a name's identifier or a formula's operator.  Every
+        node type has a fixed number of children, so the tuple determines
+        the tree."""
+        key: list = []
+
+        def visit(node, *_):
+            key.append(type(node))
+            if isinstance(node, Name):
+                key.append(node.identifier)
+            elif isinstance(node, Formula):
+                key.append(node.op)
+
+        fold(self, visit)
+        return tuple(key)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        """The dataclass form, e.g. ``Complement(child=Name(identifier='F'))``."""
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            pieces: list = [f"{type(item).__name__}("]
+            for i, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                separator = ", " if i else ""
+                pieces += [separator, f"{f.name}=", value if isinstance(value, _Node) else repr(value)]
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(parts)
+
+
+class Expr(_Node):
     """Base class for expression tree nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# eq=False and repr=False keep the stack-based methods of _Node.
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Name(Expr):
     identifier: str
 
@@ -101,41 +161,41 @@ class Name(Expr):
             raise ValueError("Name identifier must be nonempty")
 
 
-@dataclass(frozen=True)
+@_node
 class Empty(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Universal(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Complement(Expr):
     child: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Intersect(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Union(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Difference(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Formula:
+@_node
+class Formula(_Node):
     """A law node: a relation (``=``, ``<=``) between two expressions, or
     a connective (``and``, ``=>``, ``<=>``) between two formulas."""
 
@@ -400,32 +460,38 @@ def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
     return fold(ast, combine)
 
 
-# Symbol and precedence level of each binary operator.
+# Symbol and precedence level of each binary operator; ``^c`` binds
+# tighter, and atoms tightest.
 _OPERATORS = {Union: ("|", 1), Intersect: ("&", 2), Difference: ("-", 2)}
+_POSTFIX = 3
+_ATOM = 4
 
 
 def render(ast: Expr) -> str:
-    """Text that reparses to an identical tree.  Every binary operation
-    is parenthesized, except a left operand at its parent's own level:
-    ``(F & G) & H`` renders as ``(F & G & H)``, so left-associative
-    chains of any length add no nesting."""
+    """Text that reparses to an identical tree, with only the parentheses
+    that precedence and left associativity need: an operand is
+    parenthesized when it binds looser than its operator, and a right
+    operand also when it binds just as tightly.  ``(F & G) & H`` renders
+    as ``F & G & H``, ``F | (G & H)`` as ``F | G & H``.  Every pair of
+    parentheses in the text stands for one that any source text of the
+    tree needs, so the rendering nests no deeper than its source."""
 
-    def wrap(part: tuple[str, int | None], level: int | None = None) -> str:
+    def wrap(part: tuple[str, int], level: int) -> str:
         text, part_level = part
-        return text if part_level in (None, level) else f"({text})"
+        return f"({text})" if part_level < level else text
 
-    def combine(node: Expr, *parts: tuple[str, int | None]) -> tuple[str, int | None]:
+    def combine(node: Expr, *parts: tuple[str, int]) -> tuple[str, int]:
         if isinstance(node, Name):
-            return node.identifier, None
+            return node.identifier, _ATOM
         if isinstance(node, Empty):
-            return "EMPTY", None
+            return "EMPTY", _ATOM
         if isinstance(node, Universal):
-            return "UNIVERSAL", None
+            return "UNIVERSAL", _ATOM
         if isinstance(node, Complement):
-            return f"{wrap(parts[0])}^c", None
+            return f"{wrap(parts[0], _POSTFIX)}^c", _POSTFIX
         if type(node) in _OPERATORS:
             symbol, level = _OPERATORS[type(node)]
-            return f"{wrap(parts[0], level)} {symbol} {wrap(parts[1])}", level
+            return f"{wrap(parts[0], level)} {symbol} {wrap(parts[1], level + 1)}", level
         raise TypeError(f"not an expression node: {node!r}")
 
-    return wrap(fold(ast, combine))
+    return fold(ast, combine)[0]

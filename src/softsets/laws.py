@@ -8,7 +8,14 @@ either returns None (the law holds on the given arguments) or a short
 violation detail.  Checks are pure, so a reported counterexample always
 replays.  Catalog laws are written once, as text in the expression
 language with relations and connectives (``formula_law``); their checks
-also evaluate every argument tuple at once for exhaustive checking.
+also evaluate a whole chunk of argument tuples at once, as bit planes.
+
+Both checkers work on planes: bit t of plane j of argument i is packed
+bit j of argument i in tuple t.  Exhaustive checking takes them from
+the enumeration, random checking draws them (``_random_planes``).  A
+law written as text evaluates the planes bit-sliced
+(``FormulaCheck.failures``); any other check gets the same tuples,
+transposed from the planes, one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Callable, Iterator
 
 from . import algebra, expr
@@ -121,26 +128,106 @@ def enumerate_soft_sets(ctx: Context, cap: int = DEFAULT_CAP) -> Iterator[SoftSe
         yield SoftSet(ctx, bits)
 
 
+# Most bits the argument planes of one random chunk hold together
+# (trials x |U|·|E| x arity): a wide frame gets fewer trials per chunk,
+# but at least one, so memory stays bounded whatever the trial count.
+RANDOM_CHUNK_PLANE_BITS = 1 << 21
+
+
+def _check_densities(defined_density: float, member_density: float) -> None:
+    if not 0.0 <= defined_density <= 1.0:
+        raise ValueError("defined_density must lie in [0, 1]")
+    if not 0.0 < member_density <= 1.0:
+        raise ValueError("member_density must lie in (0, 1]")
+
+
+def _bernoulli(rng: random.Random, width: int, p: float) -> int:
+    """A plane of ``width`` independent bits, each set with probability p.
+
+    Bit t is set iff u_t < p for a uniform u_t whose binary digits come
+    one ``getrandbits`` plane per digit, compared with the binary
+    expansion of p from the top.  A bit is decided at its first digit
+    that differs from p's, so each draw settles about half of the bits
+    still open, and p = 0.5 takes a single draw."""
+    if p >= 1:
+        return (1 << width) - 1
+    num, den = p.as_integer_ratio()
+    plane, undecided = 0, (1 << width) - 1
+    while num and undecided:
+        num <<= 1
+        digits = rng.getrandbits(width)
+        if num >= den:  # p's digit is 1: u's digit 0 decides u < p
+            num -= den
+            plane |= undecided & ~digits
+            undecided &= digits
+        else:  # p's digit is 0: u's digit 1 decides u > p
+            undecided &= ~digits
+    return plane
+
+
+def _split(wide: int, count: int, width: int) -> list[int]:
+    """Cut ``wide`` into ``count`` planes of ``width`` bits, lowest first.
+    Halving first keeps the cost near linear in the bits of ``wide``;
+    shifting the whole of it once per plane would be quadratic."""
+    if count > 32:
+        half = count // 2
+        low = wide & (1 << half * width) - 1
+        return _split(low, half, width) + _split(wide >> half * width, count - half, width)
+    ones = (1 << width) - 1
+    return [wide >> k * width & ones for k in range(count)]
+
+
+def _bernoulli_planes(rng: random.Random, count: int, width: int, p: float) -> list[int]:
+    """``count`` Bernoulli(p) planes of ``width`` bits, cut from one wide
+    plane, so that a single comparison draws them all."""
+    return _split(_bernoulli(rng, count * width, p), count, width)
+
+
+def _random_planes(
+    ctx: Context, width: int, rng: random.Random, defined_density: float, member_density: float
+) -> list[int]:
+    """Random soft sets for ``width`` trials, as planes: bit t of plane j
+    is packed bit j of trial t's soft set.
+
+    One draw gives every parameter's plane of the trials that define it,
+    and one more a member plane per (parameter, object).  A trial whose
+    defined image came out empty then redraws that image, and only that
+    one, until it is nonempty: each trial's image is resampled while
+    empty, as one tuple at a time would be, with a round of draws per
+    parameter that needs it rather than per trial."""
+    n_objects = len(ctx.objects)
+    defined = _bernoulli_planes(rng, len(ctx.parameters), width, defined_density)
+    drawn = _bernoulli_planes(rng, len(ctx.parameters) * n_objects, width, member_density)
+    images = []
+    for i, empty in enumerate(defined):
+        image, batch = [0] * n_objects, drawn[i * n_objects : (i + 1) * n_objects]
+        while empty:  # the trials that define parameter i with no member yet
+            image = [m | d & empty for m, d in zip(image, batch)]
+            empty &= ~reduce(operator.or_, batch)
+            if empty:
+                batch = _bernoulli_planes(rng, n_objects, width, member_density)
+        images.append(image)
+    # Object k of parameter i is packed bit |U|·(|E|-1-i) + k.
+    return [plane for image in reversed(images) for plane in image]
+
+
+def _transpose(planes: list[int], width: int) -> Iterator[int]:
+    """The packed bits of each trial, in trial order: bit j of trial t's
+    value is bit t of ``planes[j]``."""
+    if not planes:
+        return itertools.repeat(0, width)
+    # Row r, read backwards, lists plane n-1-r by trial, so each column is
+    # one trial's bits, most significant first.
+    rows = [format(plane, f"0{width}b")[::-1] for plane in reversed(planes)]
+    return (int("".join(column), 2) for column in zip(*rows))
+
+
 def _random_soft_set(
     ctx: Context, rng: random.Random, defined_density: float, member_density: float
 ) -> SoftSet:
-    full = ctx.full_mask
-    n_objects = len(ctx.objects)
-    masks = []
-    for _ in ctx.parameters:
-        if rng.random() >= defined_density:
-            masks.append(0)
-            continue
-        if member_density >= 1.0:
-            masks.append(full)
-            continue
-        m = 0
-        while m == 0:  # resample until the image is nonempty
-            for k in range(n_objects):
-                if rng.random() < member_density:
-                    m |= 1 << k
-        masks.append(m)
-    return SoftSet.from_masks(ctx, masks)
+    """One trial of the plane generator."""
+    (bits,) = _transpose(_random_planes(ctx, 1, rng, defined_density, member_density), 1)
+    return SoftSet(ctx, bits)
 
 
 def random_soft_set(
@@ -149,10 +236,7 @@ def random_soft_set(
     """Seeded random soft set: each parameter is defined with probability
     defined_density; a defined image includes each object with
     probability member_density and is resampled while empty."""
-    if not 0.0 <= defined_density <= 1.0:
-        raise ValueError("defined_density must lie in [0, 1]")
-    if not 0.0 < member_density <= 1.0:
-        raise ValueError("member_density must lie in (0, 1]")
+    _check_densities(defined_density, member_density)
     return _random_soft_set(ctx, random.Random(seed), defined_density, member_density)
 
 
@@ -164,14 +248,16 @@ def random_soft_set(
 #
 # * on one argument tuple, through Python source generated from the
 #   formula at its first call, making the same ``algebra`` calls a
-#   hand-written check would; random checking, shrinking and replay use
-#   this;
-# * on every argument tuple at once, bit-sliced: bit j of argument i,
-#   over all tuples, is one "plane", an int whose bit t is that bit in
-#   tuple t (``itertools.product`` order, the last argument varying
-#   fastest).  Every soft-set operation is bitwise on the packed bits, so
-#   it applies plane by plane, and a relation reduces its planes to one
-#   truth plane over the tuples.  Exhaustive checking uses this.
+#   hand-written check would; shrinking and replay use this;
+# * on a chunk of argument tuples at once, bit-sliced: bit j of argument
+#   i, over the chunk's tuples, is one "plane", an int whose bit t is
+#   that bit in tuple t.  Every soft-set operation is bitwise on the
+#   packed bits, so it applies plane by plane, and a relation reduces its
+#   planes to one truth plane over the tuples.  This one plane evaluator
+#   (``failures``) has two plane sources: exhaustive checking builds the
+#   planes of a chunk of the enumeration (``first_failure``, tuples in
+#   ``itertools.product`` order, the last argument varying fastest), and
+#   random checking draws them (``check_random``).
 
 # Tuple-index bits per plane: a chunk covers 2**CHUNK_BITS tuples, and
 # higher index bits are constant within a chunk.
@@ -285,15 +371,12 @@ class FormulaCheck:
         exec("\n".join(lines), namespace)
         return namespace["check"]
 
-    def first_failure(self, ctx: Context) -> int | None:
-        """Every tuple, bit-sliced: the index of the first argument tuple,
-        in ``itertools.product`` order, that violates the law, or None
-        when every tuple satisfies it."""
-        n = len(ctx.objects) * len(ctx.parameters)
-        arity = len(self.arg_names)
-        width = min(n * arity, CHUNK_BITS)
-        low = _low_planes(width)
-        ones = (1 << (1 << width)) - 1
+    def failures(self, planes: list[list[int]], n: int, ones: int) -> int:
+        """The plane evaluator: ``planes[i][j]`` holds bit j of argument
+        i across a chunk of argument tuples, one bit per tuple; ``n`` is
+        the number of packed bits of a soft set and ``ones`` sets every
+        tuple's bit.  Returns the plane of the tuples that violate the
+        law."""
 
         def planewise(node, *values):
             # A soft set is a list of n planes, a formula one truth plane.
@@ -322,6 +405,17 @@ class FormulaCheck:
                 return (ones ^ a) | b
             return ones ^ a ^ b
 
+        return ones ^ expr.fold(self.formula, planewise)
+
+    def first_failure(self, ctx: Context) -> int | None:
+        """Every tuple, bit-sliced: the index of the first argument tuple,
+        in ``itertools.product`` order, that violates the law, or None
+        when every tuple satisfies it."""
+        n = len(ctx.objects) * len(ctx.parameters)
+        arity = len(self.arg_names)
+        width = min(n * arity, CHUNK_BITS)
+        low = _low_planes(width)
+        ones = (1 << (1 << width)) - 1
         for chunk in range(1 << (n * arity - width)):
             # Bit j of argument i is bit n*(arity-1-i) + j of the tuple index.
             planes = [
@@ -331,10 +425,15 @@ class FormulaCheck:
                 ]
                 for i in range(arity)
             ]
-            failing = ones ^ expr.fold(self.formula, planewise)
+            failing = self.failures(planes, n, ones)
             if failing:
-                return (chunk << width) + (failing & -failing).bit_length() - 1
+                return (chunk << width) + _lowest_bit(failing)
         return None
+
+
+def _lowest_bit(plane: int) -> int:
+    """Index of the lowest set bit of a nonzero plane."""
+    return (plane & -plane).bit_length() - 1
 
 
 def formula_law(law_id: str, arg_names: str, text: str) -> Law:
@@ -455,19 +554,41 @@ def check_random(
 ) -> CheckReport:
     """Evaluate the law on ``trials`` seeded random argument tuples.
 
-    Deterministic for a fixed seed.  Conditional laws sample
-    unconstrained tuples; tuples missing the hypothesis pass vacuously.
+    Deterministic for a fixed seed.  The tuples are drawn as planes, in
+    chunks of trials (``_random_planes``); a law written as text
+    evaluates a chunk bit-sliced, and any other check is called once per
+    tuple, transposed from the same planes.  Both count cases the same
+    way: a failure at trial t of the chunk starting at trial s is case
+    s + t + 1.  Conditional laws sample unconstrained tuples; tuples
+    missing the hypothesis pass vacuously.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_densities(defined_density, member_density)
     rng = random.Random(seed)
-    for trial in range(1, trials + 1):
-        args = tuple(
-            _random_soft_set(ctx, rng, defined_density, member_density)
+    n = len(ctx.objects) * len(ctx.parameters)
+    per_chunk = max(1, min(1 << CHUNK_BITS, RANDOM_CHUNK_PLANE_BITS // max(1, n * law.arity)))
+    for start in range(0, trials, per_chunk):
+        width = min(per_chunk, trials - start)
+        planes = [
+            _random_planes(ctx, width, rng, defined_density, member_density)
             for _ in range(law.arity)
-        )
-        if law.check(ctx, args) is not None:
-            return _report_violation(law, "random", trial, ctx, args, seed)
+        ]
+        if isinstance(law.check, FormulaCheck):
+            failing = law.check.failures(planes, n, (1 << width) - 1)
+            if failing:
+                t = _lowest_bit(failing)
+                args = tuple(
+                    SoftSet(ctx, sum((p >> t & 1) << j for j, p in enumerate(arg)))
+                    for arg in planes
+                )
+                return _report_violation(law, "random", start + t + 1, ctx, args, seed)
+            continue
+        columns = [map(partial(SoftSet, ctx), _transpose(arg, width)) for arg in planes]
+        tuples = zip(*columns) if columns else itertools.repeat((), width)
+        for case, args in enumerate(tuples, start + 1):
+            if law.check(ctx, args) is not None:
+                return _report_violation(law, "random", case, ctx, args, seed)
     return CheckReport(law.id, "random", trials, None, seed)
 
 

@@ -1,5 +1,7 @@
 """Expression language: lexer, parser, evaluator, renderer."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,8 +256,10 @@ _trees = st.recursive(
 
 
 class TestRender:
-    def test_fully_parenthesized(self):
-        assert render(parse_text("F | G & H")) == "(F | (G & H))"
+    def test_only_needed_parentheses(self):
+        assert render(parse_text("F | G & H")) == "F | G & H"
+        assert render(parse_text("(F | G) & H")) == "(F | G) & H"
+        assert render(parse_text("F - (G - H)")) == "F - (G - H)"
         assert render(parse_text("(F & G)^c")) == "(F & G)^c"
         assert render(parse_text("F^c^c")) == "F^c^c"
         assert render(parse_text("EMPTY")) == "EMPTY"
@@ -272,9 +276,9 @@ class TestRender:
         assert render(parse_text(text)) == text
 
     def test_left_chains_need_no_parentheses(self):
-        assert render(parse_text("(F & G) & H")) == "(F & G & H)"
-        assert render(parse_text("F - G & H")) == "(F - G & H)"
-        assert render(parse_text("(F & G) | H")) == "((F & G) | H)"
+        assert render(parse_text("(F & G) & H")) == "F & G & H"
+        assert render(parse_text("F - G & H")) == "F - G & H"
+        assert render(parse_text("(F & G) | H")) == "F & G | H"
 
     @pytest.mark.parametrize(
         "text",
@@ -282,10 +286,67 @@ class TestRender:
         ids=["3000-term-chain", "3000-complements"],
     )
     def test_deep_trees_render_and_reparse(self, text):
-        # compares text: the dataclass == and repr of such trees recurse
-        rendered = render(parse_text(text))
+        tree = parse_text(text)
+        rendered = render(tree)
         assert render(parse_text(rendered)) == rendered
         assert rendered.count("F") == text.count("F")
+        assert parse_text(rendered) == tree
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "F" + " & (G | H" * MAX_NESTING + ")" * MAX_NESTING,
+            "F" + " - (G" * MAX_NESTING + ")" * MAX_NESTING,
+            "(" * MAX_NESTING + "F" + " | G)" * MAX_NESTING,
+            "(" * MAX_NESTING + "F" + ")^c" * MAX_NESTING,
+        ],
+        ids=["alternating", "right-nested", "left-nested", "complemented"],
+    )
+    def test_render_nests_no_deeper_than_its_source(self, text):
+        tree = parse_text(text)
+        rendered = render(tree)
+        depth = max(itertools.accumulate({"(": 1, ")": -1}.get(c, 0) for c in rendered))
+        assert depth <= MAX_NESTING
+        assert parse_text(rendered) == tree
+        assert render(parse_text(rendered)) == rendered
+
+
+class TestTreeIdentity:
+    @pytest.fixture(scope="class")
+    def chains(self):
+        text = " & ".join(["F"] * 3000)
+        return parse_text(text), parse_text(text), parse_text(text[:-1] + "G")
+
+    def test_deep_trees_compare_and_hash(self, chains):
+        a, b, c = chains
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert {a: 1}[b] == 1
+        assert parse_text("F" + "^c" * 3000) != parse_text("F" + "^c" * 2999)
+
+    def test_deep_trees_have_a_repr(self, chains):
+        a, _, _ = chains
+        text = repr(a)
+        assert text.startswith("Intersect(left=Intersect(left=")
+        assert text.count("Name(identifier='F')") == 3000
+
+    def test_structure_decides_equality(self):
+        f, g, h = Name("F"), Name("G"), Name("H")
+        assert Intersect(f, g) != Union(f, g)
+        assert Intersect(Intersect(f, g), h) != Intersect(f, Intersect(g, h))
+        assert Name("F") != Name("G") and Complement(f) != f
+        assert Formula("=", f, g) != Formula("<=", f, g)
+        assert Formula("=", f, g) != Intersect(f, g)
+        assert Empty() == Empty() and Empty() != Universal()
+        assert len({Intersect(f, g), Intersect(f, g), Intersect(g, f)}) == 2
+        assert (f == "F") is False
+
+    def test_repr_is_the_dataclass_form(self):
+        assert repr(parse_formula("F <= G^c => EMPTY = F - UNIVERSAL")) == (
+            "Formula(op='=>', left=Formula(op='<=', left=Name(identifier='F'), "
+            "right=Complement(child=Name(identifier='G'))), right=Formula(op='=', "
+            "left=Empty(), right=Difference(left=Name(identifier='F'), right=Universal())))"
+        )
 
 
 class TestFormula:

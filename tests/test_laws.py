@@ -2,9 +2,13 @@
 generation, exhaustive and randomized verification, shrinking."""
 
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softsets
-from softsets import algebra
+from softsets import algebra, laws
 from softsets.errors import EnumerationTooLarge
 from softsets.laws import (
     CHUNK_BITS,
@@ -29,9 +33,13 @@ from softsets.laws import (
     random_soft_set,
     shrink,
     soft_set_count,
+    _bernoulli,
+    _random_planes,
+    _random_soft_set,
     _reductions,
+    _transpose,
 )
-from softsets.model import new_context, soft_set
+from softsets.model import SoftSet, new_context, soft_set
 
 from .conftest import make
 from .mutants import BROKEN_LAWS
@@ -162,6 +170,13 @@ class TestRandomGeneration:
     def test_density_extremes(self, ctx33):
         assert random_soft_set(ctx33, 0, 0.0, 0.5).is_empty()
         assert random_soft_set(ctx33, 0, 1.0, 1.0).is_universal()
+        # and over a plane of 500 trials
+        assert set(_draw(ctx33, 500, 0, 0.0, 0.5)) == {0}
+        assert set(_draw(ctx33, 500, 0, 1.0, 1.0)) == {ctx33.full_bits}
+        for bits in _draw(ctx33, 500, 0, 1.0, 0.5):
+            assert all(SoftSet(ctx33, bits).masks)
+        for bits in _draw(ctx33, 500, 0, 0.5, 1.0):
+            assert set(SoftSet(ctx33, bits).masks) <= {0, ctx33.full_mask}
 
     def test_defined_images_are_never_empty(self, ctx33):
         for seed in range(200):
@@ -173,6 +188,88 @@ class TestRandomGeneration:
     def test_density_validation(self, ctx33, dd, md):
         with pytest.raises(ValueError):
             random_soft_set(ctx33, 0, dd, md)
+        with pytest.raises(ValueError):
+            check_random(lookup("bounds"), ctx33, 10, 0, dd, md)
+
+
+def _draw(ctx, trials, seed, dd, md):
+    """``trials`` soft sets from the plane generator, as packed bits."""
+    return list(_transpose(_random_planes(ctx, trials, random.Random(seed), dd, md), trials))
+
+
+def _expected_frequencies(ctx, dd, md):
+    """Probability of each packed soft set: parameters independent, each
+    undefined with probability 1 - dd, else an image with each object in
+    it with probability md, conditioned on being nonempty."""
+    n_objects = len(ctx.objects)
+    image = {0: 1 - dd}
+    for m in range(1, 1 << n_objects):
+        k = bin(m).count("1")
+        image[m] = dd * md**k * (1 - md) ** (n_objects - k) / (1 - (1 - md) ** n_objects)
+    return {
+        s.bits: math.prod(image[m] for m in s.masks) for s in enumerate_soft_sets(ctx)
+    }
+
+
+class TestPlaneGenerator:
+    @pytest.mark.parametrize("dd,md", [(0.6, 0.5), (0.75, 0.3), (0.5, 0.9)])
+    def test_soft_set_frequencies(self, ctx32, dd, md):
+        # chi-squared over the 64 soft sets at 3 x 2 (63 degrees of
+        # freedom; 110 is exceeded with probability about 2e-4)
+        n = 200_000
+        counts = Counter(_draw(ctx32, n, 0, dd, md))
+        expected = _expected_frequencies(ctx32, dd, md)
+        chi2 = sum((counts[bits] - n * p) ** 2 / (n * p) for bits, p in expected.items())
+        assert chi2 < 110, chi2
+
+    def test_one_trial_frequencies(self):
+        ctx = new_context(("x1", "x2"), ("e1",))
+        rng = random.Random(1)
+        n = 20_000
+        counts = Counter(_random_soft_set(ctx, rng, 0.6, 0.5).bits for _ in range(n))
+        expected = _expected_frequencies(ctx, 0.6, 0.5)
+        chi2 = sum((counts[bits] - n * p) ** 2 / (n * p) for bits, p in expected.items())
+        assert chi2 < 16, chi2  # 3 degrees of freedom
+
+    @pytest.mark.parametrize("p", [0.5, 0.6, 0.3, 0.1, 0.99, 2**-10])
+    def test_bernoulli_plane_density(self, p):
+        n = 1 << 18
+        ones = _bernoulli(random.Random(2), n, p).bit_count()
+        assert abs(ones - n * p) < 5 * math.sqrt(n * p * (1 - p)), (ones, n * p)
+
+    def test_half_density_takes_one_draw(self):
+        rng, reference = random.Random(3), random.Random(3)
+        assert _bernoulli(rng, 100, 0.5) == reference.getrandbits(100) ^ (1 << 100) - 1
+        assert rng.getstate() == reference.getstate()
+        assert _bernoulli(rng, 100, 1.0) == (1 << 100) - 1
+        assert _bernoulli(rng, 100, 0.0) == 0
+        assert rng.getstate() == reference.getstate()  # densities 0 and 1 draw nothing
+
+    def test_defined_images_are_drawn_nonempty(self, ctx33):
+        # an image that came out empty would read as undefined, so every
+        # parameter must still be defined in about dd of the trials, even
+        # where most first draws are empty
+        n = 50_000
+        sets = [SoftSet(ctx33, bits) for bits in _draw(ctx33, n, 4, 0.9, 0.1)]
+        for j in range(3):
+            defined = sum(1 for s in sets if s.masks[j])
+            assert abs(defined - 0.9 * n) < 5 * math.sqrt(n * 0.9 * 0.1), defined
+
+    def test_deterministic_per_seed(self, ctx66):
+        assert _draw(ctx66, 300, 5, 0.6, 0.5) == _draw(ctx66, 300, 5, 0.6, 0.5)
+        assert _draw(ctx66, 300, 5, 0.6, 0.5) != _draw(ctx66, 300, 6, 0.6, 0.5)
+
+    def test_one_trial_is_the_generator_at_width_one(self, ctx66):
+        rng, planes_rng = random.Random(8), random.Random(8)
+        for _ in range(20):
+            (bits,) = _transpose(_random_planes(ctx66, 1, planes_rng, 0.6, 0.5), 1)
+            assert _random_soft_set(ctx66, rng, 0.6, 0.5) == SoftSet(ctx66, bits)
+
+    def test_transpose(self):
+        # trial t's value gathers bit t of every plane, plane j at bit j
+        planes = [0b0110, 0b1100, 0b0001]
+        assert list(_transpose(planes, 4)) == [0b100, 0b001, 0b011, 0b010]
+        assert list(_transpose([], 3)) == [0, 0, 0]
 
 
 class TestCheckExhaustive:
@@ -257,7 +354,7 @@ class TestSlicedChecking:
     def test_difference_monotonicity_is_refuted(self, ctx22, ctx33):
         law = BROKEN_LAWS[-1]
         assert check_exhaustive(law, ctx22).cases == 4354
-        assert check_random(law, ctx33, trials=1000, seed=0).cases == 9
+        assert check_random(law, ctx33, trials=1000, seed=0).cases == 549
 
     def test_exhaustive_checking_imports_no_numpy(self):
         code = (
@@ -280,10 +377,10 @@ class TestSlicedChecking:
 
 class TestCheckRandom:
     def test_catalog_passes_at_defaults(self, ctx33):
-        for law in law_catalog():
-            report = check_random(law, ctx33, trials=60, seed=0)
+        for law, trials in itertools.product(law_catalog(), (1, 60, 65)):
+            report = check_random(law, ctx33, trials=trials, seed=0)
             assert report.passed, (law.id, report.counterexample)
-            assert report.cases == 60
+            assert report.cases == trials
             assert report.mode == "random"
             assert report.seed == 0
 
@@ -300,6 +397,71 @@ class TestCheckRandom:
         assert not report.passed
         assert 1 <= report.cases <= 1000
         assert report.seed == 0
+
+
+# Laws checked in random mode both bit-sliced and tuple by tuple.
+RANDOM_LAWS = law_catalog() + BROKEN_LAWS
+
+
+def _per_tuple(law):
+    """A copy of the law whose check is not a FormulaCheck."""
+    return replace(law, check=lambda c, args: law.check(c, args))
+
+
+class TestSlicedRandomChecking:
+    @pytest.mark.parametrize("law", RANDOM_LAWS, ids=lambda law: law.id)
+    def test_agrees_with_the_per_tuple_loop(self, law):
+        scalar = _per_tuple(law)
+        for n_objects, n_params in [(1, 1), (3, 2), (3, 3), (6, 6)]:
+            ctx = _frame(n_objects, n_params)
+            for seed in (0, 1, 7):
+                report = check_random(law, ctx, 40, seed)
+                assert report == check_random(scalar, ctx, 40, seed), (ctx, seed)
+
+    @pytest.mark.parametrize("law", RANDOM_LAWS, ids=lambda law: law.id)
+    def test_agrees_across_chunk_boundaries(self, law, monkeypatch):
+        # 108 plane bits make chunks of 12, 6, 4 and 3 trials at 3 x 3 for
+        # arities 1 to 4; trial counts fall on both sides of a boundary
+        monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)
+        ctx = _frame(3, 3)
+        per_chunk = 108 // (9 * law.arity)
+        scalar = _per_tuple(law)
+        for trials in (per_chunk - 1, per_chunk, per_chunk + 1, 10 * per_chunk + 1):
+            for seed in (0, 3):
+                report = check_random(law, ctx, trials, seed)
+                assert report == check_random(scalar, ctx, trials, seed)
+
+    def test_failures_past_the_first_chunk_are_found(self, monkeypatch):
+        monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)
+        law = BROKEN_LAWS[-1]  # difference monotone: the hypothesis is rare
+        report = check_random(law, _frame(3, 3), 1000, 1)
+        assert report.cases > 3  # 3 trials per chunk at arity 4
+        assert report == check_random(_per_tuple(law), _frame(3, 3), 1000, 1)
+
+    def test_density_extremes_reach_the_check(self, ctx33):
+        # every tuple empty: F - G = G - F holds; every tuple universal too
+        law = BROKEN_LAWS[0]
+        assert check_random(law, ctx33, 100, 0, defined_density=0.0).passed
+        assert check_random(law, ctx33, 100, 0, 1.0, 1.0).passed
+        assert not check_random(law, ctx33, 100, 0, 1.0, 0.5).passed
+
+    @pytest.mark.parametrize("sliced", [True, False], ids=["sliced", "per-tuple"])
+    def test_chunk_memory_is_bounded_on_wide_frames(self, sliced):
+        # one chunk of 20000 trials at 40 x 40 would hold 1600 planes of
+        # 2.5 KB, several times over; the plane-bit cap keeps 1,310 trials
+        # (2**21 // 1600) per chunk
+        ctx = _frame(40, 40)
+        law = lookup("involution")
+        if not sliced:
+            law = _per_tuple(law)
+        tracemalloc.start()
+        try:
+            report = check_random(law, ctx, 20_000 if sliced else 4_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 4_000_000, peak
 
 
 class TestConditionalLaws:
