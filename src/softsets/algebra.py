@@ -9,6 +9,12 @@ parameter space changes underneath it.
 Results come out normalized: a parameter whose computed image would be
 empty is simply undefined in the result, so no operation can ever leak
 an empty image.
+
+The functions read nothing from a context but ``full_bits``, and compare
+the two operands' contexts; nothing else of the frame is touched.  Law
+checking relies on this contract: it evaluates a chunk of argument
+tuples at once as soft sets over a minimal frame that holds only
+``full_bits`` (see ``softsets.laws``).
 """
 
 from __future__ import annotations

@@ -8,23 +8,25 @@ either returns None (the law holds on the given arguments) or a short
 violation detail.  Checks are pure, so a reported counterexample always
 replays.  Catalog laws are written once, as text in the expression
 language with relations and connectives (``formula_law``); their checks
-also evaluate a whole chunk of argument tuples at once, as bit planes.
+also evaluate a whole chunk of argument tuples at once.
 
-Both checkers work on planes: bit t of plane j of argument i is packed
-bit j of argument i in tuple t.  Exhaustive checking takes them from
-the enumeration, random checking draws them (``_random_planes``).  A
-law written as text evaluates the planes bit-sliced
-(``FormulaCheck.failures``); any other check gets the same tuples,
-transposed from the planes, one at a time.
+Both checkers work on chunks: a chunk of w tuples holds each argument
+as one integer whose block j (bits j·w to j·w+w-1) is packed bit j of
+that argument across the tuples, bit t for tuple t.  Such an integer is
+a soft set over a chunk frame of n·w bits, and every operation is
+bitwise, so ``softsets.algebra`` itself evaluates all w tuples in one
+call.  Exhaustive checking takes the chunks from the enumeration,
+random checking draws them (``_random_chunk``).  A law written as text
+evaluates them bit-sliced (``FormulaCheck.failures``); any other check
+gets the same tuples, transposed from the chunks, one at a time.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Iterator
 
 from . import algebra, expr
@@ -128,9 +130,9 @@ def enumerate_soft_sets(ctx: Context, cap: int = DEFAULT_CAP) -> Iterator[SoftSe
         yield SoftSet(ctx, bits)
 
 
-# Most bits the argument planes of one random chunk hold together
-# (trials x |U|·|E| x arity): a wide frame gets fewer trials per chunk,
-# but at least one, so memory stays bounded whatever the trial count.
+# Most bits the arguments of one random chunk hold together (trials x
+# |U|·|E| x arity): a wide frame gets fewer trials per chunk, but at
+# least one, so memory stays bounded whatever the trial count.
 RANDOM_CHUNK_PLANE_BITS = 1 << 21
 
 
@@ -166,9 +168,9 @@ def _bernoulli(rng: random.Random, width: int, p: float) -> int:
 
 
 def _split(wide: int, count: int, width: int) -> list[int]:
-    """Cut ``wide`` into ``count`` planes of ``width`` bits, lowest first.
+    """Cut ``wide`` into ``count`` blocks of ``width`` bits, lowest first.
     Halving first keeps the cost near linear in the bits of ``wide``;
-    shifting the whole of it once per plane would be quadratic."""
+    shifting the whole of it once per block would be quadratic."""
     if count > 32:
         half = count // 2
         low = wide & (1 << half * width) - 1
@@ -177,57 +179,83 @@ def _split(wide: int, count: int, width: int) -> list[int]:
     return [wide >> k * width & ones for k in range(count)]
 
 
-def _bernoulli_planes(rng: random.Random, count: int, width: int, p: float) -> list[int]:
-    """``count`` Bernoulli(p) planes of ``width`` bits, cut from one wide
-    plane, so that a single comparison draws them all."""
-    return _split(_bernoulli(rng, count * width, p), count, width)
+def _join(parts: list[int], width: int) -> int:
+    """The inverse of ``_split``: part k at bits k·width and up."""
+    if len(parts) > 32:
+        half = len(parts) // 2
+        return _join(parts[:half], width) | _join(parts[half:], width) << half * width
+    wide = 0
+    for part in reversed(parts):
+        wide = wide << width | part
+    return wide
 
 
-def _random_planes(
+@lru_cache(maxsize=32)
+def _ones(bits: int) -> int:
+    """The integer of ``bits`` one bits.  Cached, because on a chunk of
+    2**16 tuples building it costs as much as an operation does."""
+    return (1 << bits) - 1
+
+
+def _or_blocks(wide: int, count: int, width: int) -> int:
+    """The OR of the ``count`` blocks of ``width`` bits in ``wide``,
+    folded in halves."""
+    while count > 1:
+        keep = (count + 1) // 2
+        wide = wide & _ones(keep * width) | wide >> keep * width
+        count = keep
+    return wide
+
+
+def _random_chunk(
     ctx: Context, width: int, rng: random.Random, defined_density: float, member_density: float
-) -> list[int]:
-    """Random soft sets for ``width`` trials, as planes: bit t of plane j
-    is packed bit j of trial t's soft set.
+) -> int:
+    """Random soft sets for ``width`` trials, as one chunk: bit t of
+    block j (bits j·width and up) is packed bit j of trial t's soft set.
 
     One draw gives every parameter's plane of the trials that define it,
-    and one more a member plane per (parameter, object).  A trial whose
-    defined image came out empty then redraws that image, and only that
-    one, until it is nonempty: each trial's image is resampled while
-    empty, as one tuple at a time would be, with a round of draws per
-    parameter that needs it rather than per trial."""
-    n_objects = len(ctx.objects)
-    defined = _bernoulli_planes(rng, len(ctx.parameters), width, defined_density)
-    drawn = _bernoulli_planes(rng, len(ctx.parameters) * n_objects, width, member_density)
+    and one more the images of every parameter, a block per object.  A
+    trial whose defined image came out empty then redraws that image,
+    and only that one, until it is nonempty: each trial's image is
+    resampled while empty, as one tuple at a time would be, with a round
+    of draws per parameter that needs it rather than per trial."""
+    n_objects, n_params = len(ctx.objects), len(ctx.parameters)
+    image_bits = n_objects * width
+    defined = _split(_bernoulli(rng, n_params * width, defined_density), n_params, width)
+    drawn = _split(_bernoulli(rng, n_params * image_bits, member_density), n_params, image_bits)
+    # A plane of trials times this repunit copies it into every object's block.
+    repunit = ((1 << image_bits) - 1) // ((1 << width) - 1)
     images = []
-    for i, empty in enumerate(defined):
-        image, batch = [0] * n_objects, drawn[i * n_objects : (i + 1) * n_objects]
-        while empty:  # the trials that define parameter i with no member yet
-            image = [m | d & empty for m, d in zip(image, batch)]
-            empty &= ~reduce(operator.or_, batch)
+    for empty, batch in zip(defined, drawn):  # the trials still without a member
+        image = 0
+        while empty:
+            image |= batch & empty * repunit
+            empty &= ~_or_blocks(batch, n_objects, width)
             if empty:
-                batch = _bernoulli_planes(rng, n_objects, width, member_density)
+                batch = _bernoulli(rng, image_bits, member_density)
         images.append(image)
     # Object k of parameter i is packed bit |U|·(|E|-1-i) + k.
-    return [plane for image in reversed(images) for plane in image]
+    return _join(images[::-1], image_bits)
 
 
-def _transpose(planes: list[int], width: int) -> Iterator[int]:
-    """The packed bits of each trial, in trial order: bit j of trial t's
-    value is bit t of ``planes[j]``."""
-    if not planes:
+def _transpose(wide: int, n: int, width: int) -> Iterator[int]:
+    """The packed bits of each trial of an ``n``-block chunk, in trial
+    order: bit j of trial t's value is bit t of block j."""
+    blocks = _split(wide, n, width)
+    if not blocks:
         return itertools.repeat(0, width)
-    # Row r, read backwards, lists plane n-1-r by trial, so each column is
+    # Row r, read backwards, lists block n-1-r by trial, so each column is
     # one trial's bits, most significant first.
-    rows = [format(plane, f"0{width}b")[::-1] for plane in reversed(planes)]
+    rows = [format(block, f"0{width}b")[::-1] for block in reversed(blocks)]
     return (int("".join(column), 2) for column in zip(*rows))
 
 
 def _random_soft_set(
     ctx: Context, rng: random.Random, defined_density: float, member_density: float
 ) -> SoftSet:
-    """One trial of the plane generator."""
-    (bits,) = _transpose(_random_planes(ctx, 1, rng, defined_density, member_density), 1)
-    return SoftSet(ctx, bits)
+    """One trial of the chunk generator: at width 1, a chunk is the
+    packed bits themselves."""
+    return SoftSet(ctx, _random_chunk(ctx, 1, rng, defined_density, member_density))
 
 
 def random_soft_set(
@@ -244,34 +272,38 @@ def random_soft_set(
 # Laws written as text
 #
 # A law's text parses into a formula (``expr.parse_formula``) and
-# compiles into a FormulaCheck, which evaluates it in two ways:
+# compiles into a FormulaCheck, which evaluates it in two ways, both
+# through ``softsets.algebra``:
 #
 # * on one argument tuple, through Python source generated from the
-#   formula at its first call, making the same ``algebra`` calls a
-#   hand-written check would; shrinking and replay use this;
-# * on a chunk of argument tuples at once, bit-sliced: bit j of argument
-#   i, over the chunk's tuples, is one "plane", an int whose bit t is
-#   that bit in tuple t.  Every soft-set operation is bitwise on the
-#   packed bits, so it applies plane by plane, and a relation reduces its
-#   planes to one truth plane over the tuples.  This one plane evaluator
-#   (``failures``) has two plane sources: exhaustive checking builds the
-#   planes of a chunk of the enumeration (``first_failure``, tuples in
-#   ``itertools.product`` order, the last argument varying fastest), and
-#   random checking draws them (``check_random``).
+#   formula at its first call, one assignment per operation, making the
+#   same ``algebra`` calls a hand-written check would; shrinking and
+#   replay use this;
+# * on a chunk of w argument tuples at once, bit-sliced.  Argument i of
+#   the chunk is one integer whose block j (bits j·w to j·w+w-1) holds
+#   packed bit j of argument i across the tuples, bit t for tuple t.
+#   That integer is a soft set over a chunk frame of n·w bits (n packed
+#   bits per soft set), and since every operation is bitwise on the
+#   packed bits, one algebra call evaluates it for every tuple of the
+#   chunk.  A relation folds the n blocks where it fails into one truth
+#   plane over the tuples.  This evaluator (``failures``) has two
+#   sources of chunks: exhaustive checking builds the chunks of the
+#   enumeration (``first_failure``, tuples in ``itertools.product``
+#   order, the last argument varying fastest), and random checking draws
+#   them (``check_random``).
 
-# Tuple-index bits per plane: a chunk covers 2**CHUNK_BITS tuples, and
+# Tuple-index bits per chunk: a chunk covers 2**CHUNK_BITS tuples, and
 # higher index bits are constant within a chunk.
 CHUNK_BITS = 16
 
-# Names the generated checks call, by node type or operator.
-_CALLS = {
-    expr.Intersect: "_intersection",
-    expr.Union: "_union",
-    expr.Difference: "_difference",
-    "=": "_equals",
-    "<=": "_subset",
+# The algebra function behind each operator node.
+_OPERATIONS = {
+    expr.Complement: "complement",
+    expr.Intersect: "intersection",
+    expr.Union: "union",
+    expr.Difference: "difference",
 }
-_CONNECTIVES = {"and": "({} and {})", "=>": "(not {} or {})", "<=>": "({} == {})"}
+_RELATIONS = {"=": "equals", "<=": "subset"}
 _FAILURES = {
     "=": "left side {!r} differs from right side {!r}",
     "<=": "{!r} is not a subset of {!r}",
@@ -279,20 +311,47 @@ _FAILURES = {
 }
 
 
+@dataclass(frozen=True)
+class _ChunkFrame:
+    """The frame of a chunk's soft sets: the algebra and ``SoftSet`` read
+    nothing from a frame but ``full_bits``."""
+
+    full_bits: int
+
+
+def _conjuncts(f: expr.Formula) -> list[expr.Formula]:
+    """The relations of a conjunction, left to right."""
+    stack, relations = [f], []
+    while stack:
+        f = stack.pop()
+        if f.op == "and":
+            stack += (f.right, f.left)
+        else:
+            relations.append(f)
+    return relations
+
+
 @cache
-def _low_planes(width: int) -> tuple[int, ...]:
-    """Plane b over 2**width tuples: bit t is set iff bit b of t is.  One
-    period (2**b zeros, then 2**b ones) doubles until it fills the plane."""
+def _first_chunk(n: int, arity: int, width: int) -> tuple[int, ...]:
+    """The argument chunks of the first 2**width tuples of an exhaustive
+    check: bit j of argument i is bit b = n·(arity-1-i) + j of the tuple
+    index, so block j holds the plane of bit b over the tuples (2**b
+    zeros, then 2**b ones, repeated) when b < width, and zeros above.
+    Cached, so a law checked in one chunk builds nothing per call; each
+    argument has at most ``width`` nonzero blocks."""
     size = 1 << width
-    planes = []
-    for b in range(width):
+
+    def plane(b: int) -> int:
+        if b >= width:
+            return 0
         run = 1 << b
-        plane, length = ((1 << run) - 1) << run, 2 * run
-        while length < size:
-            plane |= plane << length
-            length *= 2
-        planes.append(plane)
-    return tuple(planes)
+        period = (1 << 2 * run) - 1
+        return ((1 << size) - 1) // period * (period ^ (1 << run) - 1)
+
+    return tuple(
+        _join([plane(b) for b in range(n * (arity - 1 - i), n * (arity - i))], size)
+        for i in range(arity)
+    )
 
 
 class FormulaCheck:
@@ -325,87 +384,100 @@ class FormulaCheck:
     @cached_property
     def _scalar(self) -> CheckFn:
         """One tuple: Python source generated from the formula, calling
-        the algebra exactly as a hand-written check would.  Compiled at
-        the first call, so exhaustive checks of laws that hold skip it."""
+        the algebra exactly as a hand-written check would, through the
+        module at each call, as the bit-sliced evaluator does.  Compiled
+        at the first call, so exhaustive checks of laws that hold skip
+        it.  Every operation is one assignment, so the source nests no
+        deeper for a deeper formula."""
         lines = ["def check(ctx, args):"]
         if self.arg_names:
             lines.append(f" {''.join(f'_a{i},' for i in range(len(self.arg_names)))} = args")
         temps = itertools.count()
 
-        def source(node, *parts: str) -> str:
-            if isinstance(node, expr.Name):
-                return f"_a{self._index[node.identifier]}"
-            if isinstance(node, expr.Empty):
-                return "_empty(ctx)"
-            if isinstance(node, expr.Universal):
-                return "_universal(ctx)"
-            if isinstance(node, expr.Complement):
-                return f"_complement({parts[0]})"
-            if not isinstance(node, expr.Formula):
-                return f"{_CALLS[type(node)]}({parts[0]}, {parts[1]})"
-            if node.op in _CONNECTIVES:
-                return _CONNECTIVES[node.op].format(*parts)
-            return f"{_CALLS[node.op]}({parts[0]}, {parts[1]})"
+        def value(node: expr.Expr, indent: str) -> str:
+            """Append the assignments of an expression; its variable."""
 
-        def refute(f: expr.Formula, indent: str) -> None:
-            """Append statements that return a detail when f fails."""
-            if f.op == "and":
-                refute(f.left, indent)
-                refute(f.right, indent)
-            elif f.op == "=>":
-                lines.append(f"{indent}if {expr.fold(f.left, source)}:")
-                refute(f.right, indent + " ")
-            else:
-                n = next(temps)
-                test = "_l{0} != _r{0}" if f.op == "<=>" else f"not {_CALLS[f.op]}(_l{{0}}, _r{{0}})"
-                lines.extend([
-                    f"{indent}_l{n} = {expr.fold(f.left, source)}",
-                    f"{indent}_r{n} = {expr.fold(f.right, source)}",
-                    f"{indent}if {test.format(n)}:",
-                    f"{indent} return {_FAILURES[f.op]!r}.format(_l{n}, _r{n})",
-                ])
+            def assign(node, *parts: str) -> str:
+                if isinstance(node, expr.Name):
+                    return f"_a{self._index[node.identifier]}"
+                if isinstance(node, expr.Empty):
+                    call = "_empty(ctx)"
+                elif isinstance(node, expr.Universal):
+                    call = "_universal(ctx)"
+                else:
+                    call = f"_algebra.{_OPERATIONS[type(node)]}({', '.join(parts)})"
+                temp = f"_t{next(temps)}"
+                lines.append(f"{indent}{temp} = {call}")
+                return temp
 
-        refute(self.formula, " ")
-        namespace = {"_" + name: getattr(algebra, name) for name in algebra.__all__}
-        namespace.update(_empty=empty_soft_set, _universal=universal_soft_set)
+            return expr.fold(node, assign)
+
+        def relation(f: expr.Formula, indent: str) -> tuple[str, str, str]:
+            left, right = value(f.left, indent), value(f.right, indent)
+            return f"_algebra.{_RELATIONS[f.op]}({left}, {right})", left, right
+
+        def truth(f: expr.Formula) -> str:
+            """Append the evaluation of a conjunction, stopping at its
+            first false relation as ``and`` does; its variable."""
+            v = f"_v{next(temps)}"
+            lines.append(f" {v} = True")
+            for r in _conjuncts(f):
+                lines.append(f" if {v}:")
+                lines.append(f"  {v} = {relation(r, '  ')[0]}")
+            return v
+
+        conclusion = self.formula
+        if self.formula.op == "=>":
+            lines.append(f" if not {truth(self.formula.left)}:")
+            lines.append("  return None")
+            conclusion = self.formula.right
+        if conclusion.op == "<=>":
+            left, right = truth(conclusion.left), truth(conclusion.right)
+            lines.append(f" if {left} != {right}:")
+            lines.append(f"  return {_FAILURES['<=>']!r}.format({left}, {right})")
+        else:
+            for r in _conjuncts(conclusion):
+                test, left, right = relation(r, " ")
+                lines.append(f" if not {test}:")
+                lines.append(f"  return {_FAILURES[r.op]!r}.format({left}, {right})")
+        namespace = {"_algebra": algebra, "_empty": empty_soft_set, "_universal": universal_soft_set}
         exec("\n".join(lines), namespace)
         return namespace["check"]
 
-    def failures(self, planes: list[list[int]], n: int, ones: int) -> int:
-        """The plane evaluator: ``planes[i][j]`` holds bit j of argument
-        i across a chunk of argument tuples, one bit per tuple; ``n`` is
-        the number of packed bits of a soft set and ``ones`` sets every
-        tuple's bit.  Returns the plane of the tuples that violate the
-        law."""
+    def failures(self, chunks: list[int], n: int, width: int) -> int:
+        """The bit-sliced evaluator: ``chunks[i]`` is argument i over a
+        chunk of ``width`` tuples of ``n``-bit soft sets, block j holding
+        packed bit j.  Returns the plane of the tuples that violate the
+        law, bit t for tuple t."""
+        frame = _ChunkFrame(_ones(n * width))
+        ones = _ones(width)
+        args = [SoftSet(frame, chunk) for chunk in chunks]
 
-        def planewise(node, *values):
-            # A soft set is a list of n planes, a formula one truth plane.
+        def sliced(node, *values):
+            # A soft set over the chunk frame, or a truth plane.
             if isinstance(node, expr.Name):
-                return planes[self._index[node.identifier]]
+                return args[self._index[node.identifier]]
             if isinstance(node, expr.Empty):
-                return [0] * n
+                return empty_soft_set(frame)
             if isinstance(node, expr.Universal):
-                return [ones] * n
-            if isinstance(node, expr.Complement):
-                return [ones ^ p for p in values[0]]
+                return universal_soft_set(frame)
+            if not isinstance(node, expr.Formula):
+                return getattr(algebra, _OPERATIONS[type(node)])(*values)
             a, b = values
-            if isinstance(node, expr.Intersect):
-                return [p & q for p, q in zip(a, b)]
-            if isinstance(node, expr.Union):
-                return [p | q for p, q in zip(a, b)]
-            if isinstance(node, expr.Difference):
-                return [p & ~q for p, q in zip(a, b)]
+            # Relations compare bits as algebra.equals and algebra.subset
+            # do; a & ~b is taken as (a | b) ^ b, which makes no negative
+            # intermediate, slow on big integers.
             if node.op == "=":
-                return ones ^ reduce(operator.or_, map(operator.xor, a, b), 0)
+                return ones ^ _or_blocks(a.bits ^ b.bits, n, width)
             if node.op == "<=":
-                return ones ^ reduce(operator.or_, (p & ~q for p, q in zip(a, b)), 0)
+                return ones ^ _or_blocks((a.bits | b.bits) ^ b.bits, n, width)
             if node.op == "and":
                 return a & b
             if node.op == "=>":
                 return (ones ^ a) | b
             return ones ^ a ^ b
 
-        return ones ^ expr.fold(self.formula, planewise)
+        return ones ^ expr.fold(self.formula, sliced)
 
     def first_failure(self, ctx: Context) -> int | None:
         """Every tuple, bit-sliced: the index of the first argument tuple,
@@ -414,18 +486,17 @@ class FormulaCheck:
         n = len(ctx.objects) * len(ctx.parameters)
         arity = len(self.arg_names)
         width = min(n * arity, CHUNK_BITS)
-        low = _low_planes(width)
-        ones = (1 << (1 << width)) - 1
+        first = _first_chunk(n, arity, width)
+        ones = _ones(1 << width)
         for chunk in range(1 << (n * arity - width)):
-            # Bit j of argument i is bit n*(arity-1-i) + j of the tuple index.
-            planes = [
-                [
-                    low[b] if b < width else ones * (chunk >> (b - width) & 1)
-                    for b in range(n * (arity - 1 - i), n * (arity - i))
+            chunks = first
+            if chunk:  # the index bits above the chunk fill whole blocks
+                high = [0] * width + [ones * (chunk >> k & 1) for k in range(n * arity - width)]
+                chunks = [
+                    arg | _join(high[n * (arity - 1 - i) : n * (arity - i)], 1 << width)
+                    for i, arg in enumerate(first)
                 ]
-                for i in range(arity)
-            ]
-            failing = self.failures(planes, n, ones)
+            failing = self.failures(chunks, n, 1 << width)
             if failing:
                 return (chunk << width) + _lowest_bit(failing)
         return None
@@ -509,6 +580,15 @@ def _render_counterexample(law: Law, ctx: Context, args: tuple[SoftSet, ...]) ->
 def _report_violation(
     law: Law, mode: str, cases: int, ctx: Context, args: tuple[SoftSet, ...], seed: int | None
 ) -> CheckReport:
+    if law.check(ctx, args) is None:
+        # Only the bit-sliced evaluation flags a tuple its own check
+        # passes, and it can only when an operation is not bitwise.
+        detail = (
+            "the bit-sliced and per-tuple evaluations disagree on this tuple, "
+            "so an operation is not bitwise"
+        )
+        cex = Counterexample(ctx, args, detail, _render_counterexample(law, ctx, args))
+        return CheckReport(law.id, mode, cases, cex, seed)
     sctx, sargs = shrink(law, ctx, args)
     detail = law.check(sctx, sargs)
     assert detail is not None  # shrink only accepts still-violating reductions
@@ -554,13 +634,13 @@ def check_random(
 ) -> CheckReport:
     """Evaluate the law on ``trials`` seeded random argument tuples.
 
-    Deterministic for a fixed seed.  The tuples are drawn as planes, in
-    chunks of trials (``_random_planes``); a law written as text
-    evaluates a chunk bit-sliced, and any other check is called once per
-    tuple, transposed from the same planes.  Both count cases the same
-    way: a failure at trial t of the chunk starting at trial s is case
-    s + t + 1.  Conditional laws sample unconstrained tuples; tuples
-    missing the hypothesis pass vacuously.
+    Deterministic for a fixed seed.  The tuples are drawn in chunks of
+    trials (``_random_chunk``); a law written as text evaluates a chunk
+    bit-sliced, and any other check is called once per tuple, transposed
+    from the same chunks.  Both count cases the same way: a failure at
+    trial t of the chunk starting at trial s is case s + t + 1.
+    Conditional laws sample unconstrained tuples; tuples missing the
+    hypothesis pass vacuously.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -570,21 +650,21 @@ def check_random(
     per_chunk = max(1, min(1 << CHUNK_BITS, RANDOM_CHUNK_PLANE_BITS // max(1, n * law.arity)))
     for start in range(0, trials, per_chunk):
         width = min(per_chunk, trials - start)
-        planes = [
-            _random_planes(ctx, width, rng, defined_density, member_density)
+        chunks = [
+            _random_chunk(ctx, width, rng, defined_density, member_density)
             for _ in range(law.arity)
         ]
         if isinstance(law.check, FormulaCheck):
-            failing = law.check.failures(planes, n, (1 << width) - 1)
+            failing = law.check.failures(chunks, n, width)
             if failing:
                 t = _lowest_bit(failing)
+                blocks = (_split(chunk, n, width) for chunk in chunks)
                 args = tuple(
-                    SoftSet(ctx, sum((p >> t & 1) << j for j, p in enumerate(arg)))
-                    for arg in planes
+                    SoftSet(ctx, sum((b >> t & 1) << j for j, b in enumerate(bs))) for bs in blocks
                 )
                 return _report_violation(law, "random", start + t + 1, ctx, args, seed)
             continue
-        columns = [map(partial(SoftSet, ctx), _transpose(arg, width)) for arg in planes]
+        columns = [map(partial(SoftSet, ctx), _transpose(chunk, n, width)) for chunk in chunks]
         tuples = zip(*columns) if columns else itertools.repeat((), width)
         for case, args in enumerate(tuples, start + 1):
             if law.check(ctx, args) is not None:

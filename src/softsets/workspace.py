@@ -55,6 +55,11 @@ class Workspace:
                 )
 
 
+# Keywords of the header lines.  A parameter so named would make its
+# image line read as a header.
+_HEADERS = ("universe", "parameters")
+
+
 def load_workspace(text: str) -> Workspace:
     """Parse the format above.  Empty image lines are dropped with a
     warning; structural problems raise FormatError with the line number."""
@@ -87,6 +92,9 @@ def load_workspace(text: str) -> Workspace:
                 raise FormatError("missing universe: header", lineno)
             if ctx is not None:
                 raise FormatError("duplicate parameters: header", lineno)
+            for name in tokens[1:]:
+                if name in _HEADERS:
+                    raise FormatError(f"parameter name {name!r} collides with a header", lineno)
             try:
                 ctx = new_context(objects, tokens[1:])
             except SoftSetError as exc:
@@ -147,7 +155,7 @@ def _check_renderable(ctx: Context) -> None:
     for name in ctx.parameters:
         if _UNSAFE_CHARS & set(name):
             raise ValueError(f"parameter name {name!r} cannot be rendered")
-        if name in ("universe", "parameters"):
+        if name in _HEADERS:
             raise ValueError(f"parameter name {name!r} collides with a header")
 
 

@@ -34,7 +34,7 @@ from softsets.laws import (
     shrink,
     soft_set_count,
     _bernoulli,
-    _random_planes,
+    _random_chunk,
     _random_soft_set,
     _reductions,
     _transpose,
@@ -193,8 +193,9 @@ class TestRandomGeneration:
 
 
 def _draw(ctx, trials, seed, dd, md):
-    """``trials`` soft sets from the plane generator, as packed bits."""
-    return list(_transpose(_random_planes(ctx, trials, random.Random(seed), dd, md), trials))
+    """``trials`` soft sets from the chunk generator, as packed bits."""
+    n = len(ctx.objects) * len(ctx.parameters)
+    return list(_transpose(_random_chunk(ctx, trials, random.Random(seed), dd, md), n, trials))
 
 
 def _expected_frequencies(ctx, dd, md):
@@ -262,14 +263,14 @@ class TestPlaneGenerator:
     def test_one_trial_is_the_generator_at_width_one(self, ctx66):
         rng, planes_rng = random.Random(8), random.Random(8)
         for _ in range(20):
-            (bits,) = _transpose(_random_planes(ctx66, 1, planes_rng, 0.6, 0.5), 1)
+            (bits,) = _transpose(_random_chunk(ctx66, 1, planes_rng, 0.6, 0.5), 36, 1)
             assert _random_soft_set(ctx66, rng, 0.6, 0.5) == SoftSet(ctx66, bits)
 
     def test_transpose(self):
-        # trial t's value gathers bit t of every plane, plane j at bit j
-        planes = [0b0110, 0b1100, 0b0001]
-        assert list(_transpose(planes, 4)) == [0b100, 0b001, 0b011, 0b010]
-        assert list(_transpose([], 3)) == [0, 0, 0]
+        # trial t's value gathers bit t of every block, block j at bit j
+        chunk = 0b0001_1100_0110
+        assert list(_transpose(chunk, 3, 4)) == [0b100, 0b001, 0b011, 0b010]
+        assert list(_transpose(0, 0, 3)) == [0, 0, 0]
 
 
 class TestCheckExhaustive:
@@ -373,6 +374,82 @@ class TestSlicedChecking:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+
+# Operations broken in a bitwise way, so that the bit-sliced and the
+# per-tuple evaluations still agree.
+BITWISE_MUTANTS = {
+    "intersection": lambda s, t: SoftSet(s.context, s.bits | t.bits),
+    "union": lambda s, t: SoftSet(s.context, s.bits ^ t.bits),
+    "complement": lambda s: SoftSet(s.context, s.bits),
+    "difference": lambda s, t: SoftSet(s.context, s.bits ^ t.bits),
+}
+
+
+class TestChecksGoThroughTheAlgebra:
+    @pytest.mark.parametrize("name", BITWISE_MUTANTS)
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_a_broken_operation_refutes_the_catalog(self, name, mode, monkeypatch, ctx22):
+        # both evaluations of a law look the algebra up at each call, so
+        # checks compiled before the patch see it too
+        for law in law_catalog():
+            law.check(ctx22, (SoftSet(ctx22, 0),) * law.arity)
+        monkeypatch.setattr(algebra, name, BITWISE_MUTANTS[name])
+        refuted = 0
+        for law in law_catalog():
+            if mode == "exhaustive":
+                report = check_exhaustive(law, ctx22)
+            else:
+                report = check_random(law, ctx22, trials=1000, seed=0)
+            cex = report.counterexample
+            if cex is not None:
+                refuted += 1
+                assert law.check(cex.context, cex.args) == cex.detail, law.id
+        assert refuted >= 1
+
+    def test_an_operation_that_is_not_bitwise_is_a_fail(self, monkeypatch, capsys):
+        # F - G computed as F ^ (F & G & 1) is right one tuple at a time
+        # at 1 x 1, where bit 0 is the only bit; in a chunk, bit 0 belongs
+        # to the first tuple alone, and the other tuples get F - G = F
+        monkeypatch.setattr(
+            algebra, "difference", lambda s, t: SoftSet(s.context, s.bits ^ (s.bits & t.bits & 1))
+        )
+        ctx = _frame(1, 1)
+        law = lookup("difference-as-intersection")
+        one = SoftSet(ctx, 1)
+        for report in (check_exhaustive(law, ctx), check_random(law, ctx, 100, 0)):
+            cex = report.counterexample
+            assert "evaluations disagree" in cex.detail
+            assert (cex.context, cex.args) == (ctx, (one, one))  # not shrunk
+            assert law.check(ctx, cex.args) is None
+        assert check_exhaustive(law, ctx).cases == 4
+        from softsets.cli import main
+
+        argv = ["check-laws", "--universe", "1", "--params", "1", "--law", law.id]
+        assert main(argv) == 1
+        assert main(argv + ["--exhaustive"]) == 1
+        assert "evaluations disagree" in capsys.readouterr().out
+
+
+# Texts far deeper than Python's own parser nests.
+DEEP_TEXTS = {
+    "chain": " & ".join(["F"] * 3000) + " = G",
+    "complements": "F" + "^c" * 3000 + " = G",
+    "hypotheses": " and ".join(["F <= F | G"] * 300) + " => F = G",
+    "equivalence": " and ".join(["F <= F | G"] * 300) + " <=> F = G",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_TEXTS.values(), ids=DEEP_TEXTS)
+def test_deep_texts_check_shrink_and_replay(text):
+    ctx = new_context(("x1", "x2"), ("e1",))
+    law = formula_law("deep", "F G", text)
+    assert law.check(ctx, (SoftSet(ctx, 1), SoftSet(ctx, 2))) is not None
+    assert law.check(ctx, (SoftSet(ctx, 2), SoftSet(ctx, 2))) is None
+    for report in (check_exhaustive(law, ctx), check_random(law, ctx, 100, 0)):
+        cex = report.counterexample
+        assert law.check(cex.context, cex.args) == cex.detail
+    assert check_exhaustive(law, ctx).cases == _first_failure_by_scan(law, ctx) + 1
 
 
 class TestCheckRandom:

@@ -90,6 +90,23 @@ class TestLoadErrors:
         assert "duplicate" in str(self.error("universe: x1 x1\nparameters: e1\n"))
         assert "universe" in str(self.error("universe:\nparameters: e1\n"))
 
+    @pytest.mark.parametrize("name", ["universe", "parameters"])
+    def test_parameter_named_like_a_header(self, name):
+        # its image line would read as a header, so no line could define it
+        err = self.error(f"universe: a b\nparameters: {name} e2\nsoftset F:\n  e2: a\n")
+        assert "collides with a header" in str(err) and err.line == 2
+
+    def test_parameter_named_like_a_header_exits_3(self, tmp_path, capsys):
+        from softsets.cli import main
+
+        path = tmp_path / "ws.sset"
+        path.write_text("universe: a b\nparameters: universe e2\nsoftset F:\n  e2: a\n")
+        assert main(["show", str(path)]) == 3
+        assert main(["eval", str(path), "F^c"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "line 2" in err
+
     def test_image_line_outside_a_block(self):
         err = self.error(HEADER + "e1: h1\n")
         assert "outside" in str(err) and err.line == 3
