@@ -7,8 +7,9 @@ Every law is a named, arity-tagged identity whose ``check`` procedure
 either returns None (the law holds on the given arguments) or a short
 violation detail.  Checks are pure, so a reported counterexample always
 replays.  Catalog laws are written once, as text in the expression
-language with relations and connectives (``formula_law``); their checks
-also evaluate a whole chunk of argument tuples at once.
+language with relations and connectives (``formula_law``).  Such a law
+compiles into one list of steps, run through ``softsets.algebra`` on one
+argument tuple or on a whole chunk of tuples at once.
 
 Both checkers work on chunks: a chunk of w tuples holds each argument
 as one integer whose block j (bits j·w to j·w+w-1) is packed bit j of
@@ -18,7 +19,9 @@ bitwise, so ``softsets.algebra`` itself evaluates all w tuples in one
 call.  Exhaustive checking takes the chunks from the enumeration,
 random checking draws them (``_random_chunk``).  A law written as text
 evaluates them bit-sliced (``FormulaCheck.failures``); any other check
-gets the same tuples, transposed from the chunks, one at a time.
+gets the same tuples, transposed from the chunks, one at a time.  A
+single tuple is a chunk of width 1 over the tuple's own frame, so
+shrinking and replay run the same steps as the checkers do.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterator
 
 from . import algebra, expr
-from .errors import EnumerationTooLarge
+from .errors import ContextMismatch, EnumerationTooLarge
 from .model import Context, SoftSet, empty_soft_set, universal_soft_set
 
 __all__ = [
@@ -199,7 +202,10 @@ def _ones(bits: int) -> int:
 
 def _or_blocks(wide: int, count: int, width: int) -> int:
     """The OR of the ``count`` blocks of ``width`` bits in ``wide``,
-    folded in halves."""
+    folded in halves; blocks of one bit, as a check of one tuple has,
+    OR to whether any bit is set."""
+    if width == 1:
+        return int(wide != 0)
     while count > 1:
         keep = (count + 1) // 2
         wide = wide & _ones(keep * width) | wide >> keep * width
@@ -271,39 +277,33 @@ def random_soft_set(
 # ---------------------------------------------------------------------------
 # Laws written as text
 #
-# A law's text parses into a formula (``expr.parse_formula``) and
-# compiles into a FormulaCheck, which evaluates it in two ways, both
-# through ``softsets.algebra``:
+# A law's text parses into a formula (``expr.parse_formula``), which a
+# FormulaCheck folds once into a flat list of steps in post-order: EMPTY
+# or UNIVERSAL, an operation of ``softsets.algebra``, a relation or a
+# connective, each reading the arguments or the values of earlier
+# steps.  One loop runs the steps on soft sets that
+# each hold w argument tuples: block j of such a soft set (bits j·w to
+# j·w+w-1) holds packed bit j of one argument across the tuples, bit t
+# for tuple t.  That integer is a soft set over a frame of n·w bits (n
+# packed bits per soft set), and since every operation is bitwise on the
+# packed bits, one algebra call evaluates it for all w tuples.  A
+# relation folds the n blocks where it fails into one truth plane over
+# the tuples, and the connectives combine planes.  The run has two
+# callers:
 #
-# * on one argument tuple, through Python source generated from the
-#   formula at its first call, one assignment per operation, making the
-#   same ``algebra`` calls a hand-written check would; shrinking and
-#   replay use this;
-# * on a chunk of w argument tuples at once, bit-sliced.  Argument i of
-#   the chunk is one integer whose block j (bits j·w to j·w+w-1) holds
-#   packed bit j of argument i across the tuples, bit t for tuple t.
-#   That integer is a soft set over a chunk frame of n·w bits (n packed
-#   bits per soft set), and since every operation is bitwise on the
-#   packed bits, one algebra call evaluates it for every tuple of the
-#   chunk.  A relation folds the n blocks where it fails into one truth
-#   plane over the tuples.  This evaluator (``failures``) has two
-#   sources of chunks: exhaustive checking builds the chunks of the
-#   enumeration (``first_failure``, tuples in ``itertools.product``
-#   order, the last argument varying fastest), and random checking draws
-#   them (``check_random``).
+# * ``check(ctx, args)`` runs the steps on one tuple's soft sets over
+#   their own context, where w = 1, and reads the violation detail off
+#   the values of that run; shrinking and replay use this;
+# * ``failures`` runs them on a chunk of tuples over a chunk frame.
+#   Exhaustive checking builds the chunks of the enumeration
+#   (``first_failure``, tuples in ``itertools.product`` order, the last
+#   argument varying fastest), and random checking draws them
+#   (``check_random``).
 
 # Tuple-index bits per chunk: a chunk covers 2**CHUNK_BITS tuples, and
 # higher index bits are constant within a chunk.
 CHUNK_BITS = 16
 
-# The algebra function behind each operator node.
-_OPERATIONS = {
-    expr.Complement: "complement",
-    expr.Intersect: "intersection",
-    expr.Union: "union",
-    expr.Difference: "difference",
-}
-_RELATIONS = {"=": "equals", "<=": "subset"}
 _FAILURES = {
     "=": "left side {!r} differs from right side {!r}",
     "<=": "{!r} is not a subset of {!r}",
@@ -317,18 +317,6 @@ class _ChunkFrame:
     nothing from a frame but ``full_bits``."""
 
     full_bits: int
-
-
-def _conjuncts(f: expr.Formula) -> list[expr.Formula]:
-    """The relations of a conjunction, left to right."""
-    stack, relations = [f], []
-    while stack:
-        f = stack.pop()
-        if f.op == "and":
-            stack += (f.right, f.left)
-        else:
-            relations.append(f)
-    return relations
 
 
 @cache
@@ -358,126 +346,109 @@ class FormulaCheck:
     """The ``check`` of a law written as text.
 
     Called as ``check(ctx, args)`` it returns None or a violation detail,
-    like any law check.  ``first_failure(ctx)`` finds the index of the
-    first violating tuple of an exhaustive check without building one.
+    like any law check, and raises ContextMismatch for an argument over
+    another frame than ctx.  ``failures`` evaluates a chunk of tuples at
+    once with the same steps, and ``first_failure(ctx)`` finds the index
+    of the first violating tuple of an exhaustive check without building
+    one.
     """
 
     def __init__(self, text: str, arg_names: tuple[str, ...]):
         self.text = text
         self.arg_names = arg_names
         self.formula = expr.parse_formula(text)
+        index = {name: i for i, name in enumerate(arg_names)}
         names = set()
-        expr.fold(
-            self.formula,
-            lambda node, *_: names.add(node.identifier) if isinstance(node, expr.Name) else None,
-        )
-        if names != set(arg_names):
+        # A run's values are the arguments, then one value per step.  A
+        # step is (kind, a, b): the name of a node's class or a formula's
+        # operator, and the values of its operands.
+        self._steps: list[tuple[str, int, int | None]] = []
+
+        def step(node, a=None, b=None) -> int | None:
+            """The node's value: an argument's, or that of a new step."""
+            if isinstance(node, expr.Name):
+                names.add(node.identifier)
+                return index.get(node.identifier)
+            kind = node.op if isinstance(node, expr.Formula) else type(node).__name__
+            self._steps.append((kind, a, b))
+            return len(arg_names) + len(self._steps) - 1
+
+        expr.fold(self.formula, step)
+        if sorted(names) != sorted(arg_names):  # also refuses a repeated argument
             raise ValueError(f"law {text!r} names {sorted(names)}, not the arguments {list(arg_names)}")
-        self._index = {name: i for i, name in enumerate(arg_names)}
+        kind, hypothesis, _ = self._steps[-1]
+        # The first value of the conclusion, where an implication stops
+        # when no tuple meets its hypothesis.
+        self._conclusion = hypothesis + 1 if kind == "=>" else len(arg_names)
 
     def __call__(self, ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
-        return self._scalar(ctx, args)
+        for arg in args:
+            if arg.context is not ctx and arg.context != ctx:
+                raise ContextMismatch(f"an argument lives over {arg.context!r}, not {ctx!r}")
+        failing, values = self._run(ctx, args, len(ctx.objects) * len(ctx.parameters), 1)
+        if not failing:
+            return None
+        kind, left, right = self._steps[-1]
+        if kind == "<=>":
+            return _FAILURES[kind].format(bool(values[left]), bool(values[right]))
+        # The first relation of the conclusion that fails.
+        start = self._conclusion
+        kind, a, b = next(
+            step for step, value in zip(self._steps[start - len(args) :], values[start:])
+            if step[0] in ("=", "<=") and not value
+        )
+        return _FAILURES[kind].format(values[a], values[b])
 
     def __repr__(self) -> str:
         return f"FormulaCheck({self.text!r}, {self.arg_names!r})"
 
-    @cached_property
-    def _scalar(self) -> CheckFn:
-        """One tuple: Python source generated from the formula, calling
-        the algebra exactly as a hand-written check would, through the
-        module at each call, as the bit-sliced evaluator does.  Compiled
-        at the first call, so exhaustive checks of laws that hold skip
-        it.  Every operation is one assignment, so the source nests no
-        deeper for a deeper formula."""
-        lines = ["def check(ctx, args):"]
-        if self.arg_names:
-            lines.append(f" {''.join(f'_a{i},' for i in range(len(self.arg_names)))} = args")
-        temps = itertools.count()
-
-        def value(node: expr.Expr, indent: str) -> str:
-            """Append the assignments of an expression; its variable."""
-
-            def assign(node, *parts: str) -> str:
-                if isinstance(node, expr.Name):
-                    return f"_a{self._index[node.identifier]}"
-                if isinstance(node, expr.Empty):
-                    call = "_empty(ctx)"
-                elif isinstance(node, expr.Universal):
-                    call = "_universal(ctx)"
-                else:
-                    call = f"_algebra.{_OPERATIONS[type(node)]}({', '.join(parts)})"
-                temp = f"_t{next(temps)}"
-                lines.append(f"{indent}{temp} = {call}")
-                return temp
-
-            return expr.fold(node, assign)
-
-        def relation(f: expr.Formula, indent: str) -> tuple[str, str, str]:
-            left, right = value(f.left, indent), value(f.right, indent)
-            return f"_algebra.{_RELATIONS[f.op]}({left}, {right})", left, right
-
-        def truth(f: expr.Formula) -> str:
-            """Append the evaluation of a conjunction, stopping at its
-            first false relation as ``and`` does; its variable."""
-            v = f"_v{next(temps)}"
-            lines.append(f" {v} = True")
-            for r in _conjuncts(f):
-                lines.append(f" if {v}:")
-                lines.append(f"  {v} = {relation(r, '  ')[0]}")
-            return v
-
-        conclusion = self.formula
-        if self.formula.op == "=>":
-            lines.append(f" if not {truth(self.formula.left)}:")
-            lines.append("  return None")
-            conclusion = self.formula.right
-        if conclusion.op == "<=>":
-            left, right = truth(conclusion.left), truth(conclusion.right)
-            lines.append(f" if {left} != {right}:")
-            lines.append(f"  return {_FAILURES['<=>']!r}.format({left}, {right})")
-        else:
-            for r in _conjuncts(conclusion):
-                test, left, right = relation(r, " ")
-                lines.append(f" if not {test}:")
-                lines.append(f"  return {_FAILURES[r.op]!r}.format({left}, {right})")
-        namespace = {"_algebra": algebra, "_empty": empty_soft_set, "_universal": universal_soft_set}
-        exec("\n".join(lines), namespace)
-        return namespace["check"]
+    def _run(self, frame, args, n: int, width: int) -> tuple[int, list]:
+        """Run the steps on argument soft sets over ``frame``, each holding
+        ``width`` tuples of ``n``-bit soft sets.  Returns the plane of the
+        tuples that violate the law, bit t for tuple t, and the values of
+        the run; an implication stops after its hypothesis when no tuple
+        meets it.  The algebra is looked up at each call."""
+        ones, conclusion = _ones(width), self._conclusion
+        values = list(args)
+        for kind, a, b in self._steps:
+            if kind == "Intersect":
+                value = algebra.intersection(values[a], values[b])
+            elif kind == "Union":
+                value = algebra.union(values[a], values[b])
+            elif kind == "Difference":
+                value = algebra.difference(values[a], values[b])
+            elif kind == "Complement":
+                value = algebra.complement(values[a])
+            # Relations compare bits as algebra.equals and algebra.subset
+            # do; a & ~b is taken as (a | b) ^ b, which makes no negative
+            # intermediate, slow on big integers.
+            elif kind == "=":
+                value = ones ^ _or_blocks(values[a].bits ^ values[b].bits, n, width)
+            elif kind == "<=":
+                s, t = values[a].bits, values[b].bits
+                value = ones ^ _or_blocks((s | t) ^ t, n, width)
+            elif kind == "and":
+                value = values[a] & values[b]
+            elif kind == "=>":
+                value = (ones ^ values[a]) | values[b]
+            elif kind == "<=>":
+                value = ones ^ values[a] ^ values[b]
+            elif kind == "Empty":
+                value = empty_soft_set(frame)
+            else:  # "Universal"
+                value = universal_soft_set(frame)
+            values.append(value)
+            if len(values) == conclusion and not value:
+                return 0, values
+        return ones ^ values[-1], values
 
     def failures(self, chunks: list[int], n: int, width: int) -> int:
-        """The bit-sliced evaluator: ``chunks[i]`` is argument i over a
+        """The bit-sliced evaluation: ``chunks[i]`` is argument i over a
         chunk of ``width`` tuples of ``n``-bit soft sets, block j holding
         packed bit j.  Returns the plane of the tuples that violate the
         law, bit t for tuple t."""
         frame = _ChunkFrame(_ones(n * width))
-        ones = _ones(width)
-        args = [SoftSet(frame, chunk) for chunk in chunks]
-
-        def sliced(node, *values):
-            # A soft set over the chunk frame, or a truth plane.
-            if isinstance(node, expr.Name):
-                return args[self._index[node.identifier]]
-            if isinstance(node, expr.Empty):
-                return empty_soft_set(frame)
-            if isinstance(node, expr.Universal):
-                return universal_soft_set(frame)
-            if not isinstance(node, expr.Formula):
-                return getattr(algebra, _OPERATIONS[type(node)])(*values)
-            a, b = values
-            # Relations compare bits as algebra.equals and algebra.subset
-            # do; a & ~b is taken as (a | b) ^ b, which makes no negative
-            # intermediate, slow on big integers.
-            if node.op == "=":
-                return ones ^ _or_blocks(a.bits ^ b.bits, n, width)
-            if node.op == "<=":
-                return ones ^ _or_blocks((a.bits | b.bits) ^ b.bits, n, width)
-            if node.op == "and":
-                return a & b
-            if node.op == "=>":
-                return (ones ^ a) | b
-            return ones ^ a ^ b
-
-        return ones ^ expr.fold(self.formula, sliced)
+        return self._run(frame, [SoftSet(frame, chunk) for chunk in chunks], n, width)[0]
 
     def first_failure(self, ctx: Context) -> int | None:
         """Every tuple, bit-sliced: the index of the first argument tuple,
@@ -578,20 +549,24 @@ def _render_counterexample(law: Law, ctx: Context, args: tuple[SoftSet, ...]) ->
 
 
 def _report_violation(
-    law: Law, mode: str, cases: int, ctx: Context, args: tuple[SoftSet, ...], seed: int | None
+    law: Law, mode: str, cases: int, ctx: Context, args: tuple[SoftSet, ...],
+    seed: int | None, detail: str | None,
 ) -> CheckReport:
-    if law.check(ctx, args) is None:
+    """Shrink and report a violating tuple.  ``detail`` is what the law's
+    check, which the caller has made, returned on the tuple: None only
+    for a tuple that the bit-sliced evaluation alone flagged."""
+    if detail is None:
         # Only the bit-sliced evaluation flags a tuple its own check
         # passes, and it can only when an operation is not bitwise.
+        sctx, sargs = ctx, args
         detail = (
             "the bit-sliced and per-tuple evaluations disagree on this tuple, "
             "so an operation is not bitwise"
         )
-        cex = Counterexample(ctx, args, detail, _render_counterexample(law, ctx, args))
-        return CheckReport(law.id, mode, cases, cex, seed)
-    sctx, sargs = shrink(law, ctx, args)
-    detail = law.check(sctx, sargs)
-    assert detail is not None  # shrink only accepts still-violating reductions
+    else:
+        sctx, sargs = shrink(law, ctx, args)
+        detail = law.check(sctx, sargs)
+        assert detail is not None  # shrink only accepts still-violating reductions
     cex = Counterexample(sctx, sargs, detail, _render_counterexample(law, sctx, sargs))
     return CheckReport(law.id, mode, cases, cex, seed)
 
@@ -614,14 +589,14 @@ def check_exhaustive(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> CheckRep
             SoftSet(ctx, index >> n_bits * (law.arity - 1 - i) & mask)
             for i in range(law.arity)
         )
-        return _report_violation(law, "exhaustive", index + 1, ctx, args, None)
+        detail = law.check(ctx, args)
+        return _report_violation(law, "exhaustive", index + 1, ctx, args, None, detail)
     all_sets = list(enumerate_soft_sets(ctx, cap=cap))
-    cases = 0
-    for args in itertools.product(all_sets, repeat=law.arity):
-        cases += 1
-        if law.check(ctx, args) is not None:
-            return _report_violation(law, "exhaustive", cases, ctx, args, None)
-    return CheckReport(law.id, "exhaustive", cases, None, None)
+    for case, args in enumerate(itertools.product(all_sets, repeat=law.arity), 1):
+        detail = law.check(ctx, args)
+        if detail is not None:
+            return _report_violation(law, "exhaustive", case, ctx, args, None, detail)
+    return CheckReport(law.id, "exhaustive", len(all_sets) ** law.arity, None, None)
 
 
 def check_random(
@@ -662,13 +637,15 @@ def check_random(
                 args = tuple(
                     SoftSet(ctx, sum((b >> t & 1) << j for j, b in enumerate(bs))) for bs in blocks
                 )
-                return _report_violation(law, "random", start + t + 1, ctx, args, seed)
+                detail = law.check(ctx, args)
+                return _report_violation(law, "random", start + t + 1, ctx, args, seed, detail)
             continue
         columns = [map(partial(SoftSet, ctx), _transpose(chunk, n, width)) for chunk in chunks]
         tuples = zip(*columns) if columns else itertools.repeat((), width)
         for case, args in enumerate(tuples, start + 1):
-            if law.check(ctx, args) is not None:
-                return _report_violation(law, "random", case, ctx, args, seed)
+            detail = law.check(ctx, args)
+            if detail is not None:
+                return _report_violation(law, "random", case, ctx, args, seed, detail)
     return CheckReport(law.id, "random", trials, None, seed)
 
 

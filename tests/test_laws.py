@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softsets
-from softsets import algebra, laws
-from softsets.errors import EnumerationTooLarge
+from softsets import algebra, expr, laws
+from softsets.errors import ContextMismatch, EnumerationTooLarge
 from softsets.laws import (
     CHUNK_BITS,
     DEFAULT_CAP,
     FormulaCheck,
+    Law,
     check_cap,
     check_exhaustive,
     check_random,
@@ -90,10 +91,21 @@ class TestFormulaLaws:
         assert lookup("monotonicity-cap").arg_names == ("F1", "G1", "F2", "G2")
         assert lookup("complement-characterization-fwd").arg_names == ("F", "G")
 
-    @pytest.mark.parametrize("names,text", [("F", "F = G"), ("F G", "F = F")])
+    # "F F" would make a law of arity 2 whose counterexamples render one
+    # soft set F for two arguments.
+    @pytest.mark.parametrize("names,text", [("F", "F = G"), ("F G", "F = F"), ("F F", "F = EMPTY")])
     def test_names_must_match_the_arguments(self, names, text):
         with pytest.raises(ValueError):
             formula_law("mismatch", names, text)
+
+    @pytest.mark.parametrize("law_id", ["bounds", "commutative-1"])
+    def test_arguments_over_another_frame_are_refused(self, law_id, ctx22, ctx33):
+        law = lookup(law_id)
+        with pytest.raises(ContextMismatch):
+            law.check(ctx22, (SoftSet(ctx33, 0),) * law.arity)
+        with pytest.raises(ContextMismatch):
+            law.check(ctx22, (SoftSet(ctx33, 0),) + (SoftSet(ctx22, 0),) * (law.arity - 1))
+        assert law.check(ctx33, (SoftSet(ctx33, 0),) * law.arity) is None
 
     def test_violation_details(self, ctx22):
         f, g = make(ctx22, e1="x1"), make(ctx22, e1="x2")
@@ -291,6 +303,27 @@ class TestCheckExhaustive:
         with pytest.raises(EnumerationTooLarge):
             check_exhaustive(lookup("monotonicity-cap"), ctx32, cap=DEFAULT_CAP)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_a_flagged_tuple_is_checked_once(self, mode):
+        # the loop's own check of the tuple is the one the report uses;
+        # shrinking then only checks smaller tuples
+        calls = []
+
+        def check(ctx, args):
+            calls.append((ctx, args))
+            return None if args[0].is_empty() else "F is not empty"
+
+        law = Law("empty", 1, "F is empty", check, ("F",))
+        ctx = _frame(2, 1)
+        if mode == "exhaustive":
+            report = check_exhaustive(law, ctx)
+        else:
+            report = check_random(law, ctx, 100, 0)
+        flagged = next(call for call in calls if not call[1][0].is_empty())
+        assert calls.count(flagged) == 1
+        assert len(report.counterexample.context.objects) == 1
+        assert report.counterexample.detail == "F is not empty"
+
     def test_finds_and_shrinks_a_violation(self, ctx22):
         broken = BROKEN_LAWS[0]  # difference commutes
         report = check_exhaustive(broken, ctx22)
@@ -376,6 +409,32 @@ class TestSlicedChecking:
         assert proc.stdout == "False\n"
 
 
+def _reference_holds(f, env, ctx):
+    """Whether a formula holds on one tuple, evaluated apart from
+    FormulaCheck: each side of a relation through ``expr.evaluate``,
+    compared with ``algebra.equals`` or ``algebra.subset``."""
+    if f.op == "and":
+        return _reference_holds(f.left, env, ctx) and _reference_holds(f.right, env, ctx)
+    if f.op == "=>":
+        return not _reference_holds(f.left, env, ctx) or _reference_holds(f.right, env, ctx)
+    if f.op == "<=>":
+        return _reference_holds(f.left, env, ctx) == _reference_holds(f.right, env, ctx)
+    relation = algebra.equals if f.op == "=" else algebra.subset
+    return relation(expr.evaluate(f.left, env, ctx), expr.evaluate(f.right, env, ctx))
+
+
+@pytest.mark.parametrize("law", TEXT_LAWS, ids=lambda law: law.id)
+def test_check_agrees_with_a_reference_evaluation(law):
+    formula = expr.parse_formula(law.statement)
+    for n_objects, n_params in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        if (n_objects, n_params) == (2, 2) and law.arity > 2:
+            continue
+        ctx = _frame(n_objects, n_params)
+        for args in itertools.product(enumerate_soft_sets(ctx), repeat=law.arity):
+            holds = _reference_holds(formula, dict(zip(law.arg_names, args)), ctx)
+            assert (law.check(ctx, args) is None) == holds, (ctx, args)
+
+
 # Operations broken in a bitwise way, so that the bit-sliced and the
 # per-tuple evaluations still agree.
 BITWISE_MUTANTS = {
@@ -390,8 +449,8 @@ class TestChecksGoThroughTheAlgebra:
     @pytest.mark.parametrize("name", BITWISE_MUTANTS)
     @pytest.mark.parametrize("mode", ["exhaustive", "random"])
     def test_a_broken_operation_refutes_the_catalog(self, name, mode, monkeypatch, ctx22):
-        # both evaluations of a law look the algebra up at each call, so
-        # checks compiled before the patch see it too
+        # a law's steps look the algebra up at each run, so checks built
+        # and run before the patch see it too
         for law in law_catalog():
             law.check(ctx22, (SoftSet(ctx22, 0),) * law.arity)
         monkeypatch.setattr(algebra, name, BITWISE_MUTANTS[name])
