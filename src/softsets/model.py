@@ -87,6 +87,17 @@ class Context:
         return {name: i for i, name in enumerate(self.parameters)}
 
     @cached_property
+    def object_bit(self) -> dict[str, int]:
+        """Each object's bit in a mask: bit k for the k-th object."""
+        return {name: 1 << k for k, name in enumerate(self.objects)}
+
+    @cached_property
+    def parameter_offset(self) -> dict[str, int]:
+        """Each parameter's bit offset in a packed soft set."""
+        width, last = len(self.objects), len(self.parameters) - 1
+        return {name: width * (last - i) for i, name in enumerate(self.parameters)}
+
+    @cached_property
     def full_mask(self) -> int:
         """Bitmask of the whole universe."""
         return (1 << len(self.objects)) - 1
@@ -97,11 +108,11 @@ class Context:
         return (1 << len(self.objects) * len(self.parameters)) - 1
 
     def object_mask(self, names: Iterable[str]) -> int:
-        index = self.object_index
+        bit = self.object_bit
         mask = 0
         for name in names:
             try:
-                mask |= 1 << index[name]
+                mask |= bit[name]
             except KeyError:
                 raise UnknownObject(f"unknown object {name!r}") from None
         return mask

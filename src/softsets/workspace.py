@@ -8,11 +8,13 @@ named soft sets.
       e3: h2 h4
 
 `#` starts a comment running to the end of the line; blank lines are
-ignored; tokens are separated by runs of spaces or tabs, and the
-indentation of image lines is cosmetic.  The two header lines are
-required, in that order, before the first `softset` block.  Rendering is
-canonical (context order everywhere, one parameter per line), so equal
-workspaces render byte-identically.
+ignored; tokens are separated by runs of any whitespace that
+``str.split()`` recognises (spaces and tabs, but also characters such as
+U+00A0 or U+2028), and the indentation of image lines is cosmetic.
+The two header lines are required, in that order, before the first
+`softset` block.  Rendering is canonical (context order everywhere, one
+parameter per line), so equal workspaces render byte-identically; it
+refuses an identifier that contains such whitespace or ``#``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ContextMismatch, FormatError, LexError, SoftSetError
+from .errors import ContextMismatch, FormatError, LexError, SoftSetError, UnknownObject
 from .expr import NAME, tokenize
-from .model import Context, SoftSet, new_context, soft_set
+from .model import Context, SoftSet, new_context
+
+# The loader packs its soft sets itself and never calls soft_set.  The
+# name stays bound because perfbench/tracing.py wraps
+# ``workspace.soft_set`` by attribute, and its traced runs fail without it.
+from .model import soft_set  # noqa: F401
 
 __all__ = ["Workspace", "load_workspace", "render_workspace", "render_soft_set"]
 
@@ -62,18 +69,22 @@ _HEADERS = ("universe", "parameters")
 
 def load_workspace(text: str) -> Workspace:
     """Parse the format above.  Empty image lines are dropped with a
-    warning; structural problems raise FormatError with the line number."""
+    warning; structural problems raise FormatError with the line number.
+
+    One pass: each object token is looked up once, and each image line's
+    mask is ORed into its block's packed integer at its parameter's
+    offset."""
     objects: list[str] | None = None
     ctx: Context | None = None
     bindings: dict[str, SoftSet] = {}
     block_name: str | None = None
-    block_pairs: list[tuple[str, list[str]]] = []
+    block_bits = 0
     block_seen: set[str] = set()
 
     def finish_block() -> None:
         nonlocal block_name
         if block_name is not None:
-            bindings[block_name] = soft_set(ctx, block_pairs)
+            bindings[block_name] = SoftSet(ctx, block_bits)
             block_name = None
 
     lines = text.split("\n")
@@ -113,7 +124,7 @@ def load_workspace(text: str) -> Workspace:
                 raise FormatError(f"duplicate soft set name {name!r}", lineno)
             finish_block()
             block_name = name
-            block_pairs = []
+            block_bits = 0
             block_seen = set()
             continue
         if not tokens[0].endswith(":"):
@@ -121,23 +132,25 @@ def load_workspace(text: str) -> Workspace:
         if block_name is None:
             raise FormatError("image line outside a softset block", lineno)
         parameter = tokens[0][:-1]
-        if parameter not in ctx.parameter_index:
+        shift = ctx.parameter_offset.get(parameter)
+        if shift is None:
             raise FormatError(f"unknown parameter {parameter!r}", lineno)
         if parameter in block_seen:
             raise FormatError(
                 f"parameter {parameter!r} listed twice in one soft set", lineno
             )
         block_seen.add(parameter)
-        for obj in tokens[1:]:
-            if obj not in ctx.object_index:
-                raise FormatError(f"unknown object {obj!r}", lineno)
-        if len(tokens) == 1:
+        try:
+            mask = ctx.object_mask(tokens[1:])
+        except UnknownObject as exc:
+            raise FormatError(str(exc), lineno) from None
+        if not mask:
             warnings.warn(
                 f"line {lineno}: dropping empty image for parameter {parameter!r}",
                 stacklevel=2,
             )
             continue
-        block_pairs.append((parameter, tokens[1:]))
+        block_bits |= mask << shift
     finish_block()
     if ctx is None:
         missing = "universe:" if objects is None else "parameters:"
@@ -145,15 +158,18 @@ def load_workspace(text: str) -> Workspace:
     return Workspace(ctx, bindings)
 
 
-_UNSAFE_CHARS = set(" \t\r\n\f\v#")
+def _is_unsafe(name: str) -> bool:
+    # The loader splits tokens with str.split(), which breaks on every
+    # character for which str.isspace() holds, and cuts comments at "#".
+    return "#" in name or any(c.isspace() for c in name)
 
 
 def _check_renderable(ctx: Context) -> None:
     for name in ctx.objects:
-        if _UNSAFE_CHARS & set(name):
+        if _is_unsafe(name):
             raise ValueError(f"object name {name!r} cannot be rendered")
     for name in ctx.parameters:
-        if _UNSAFE_CHARS & set(name):
+        if _is_unsafe(name):
             raise ValueError(f"parameter name {name!r} cannot be rendered")
         if name in _HEADERS:
             raise ValueError(f"parameter name {name!r} collides with a header")
@@ -161,10 +177,14 @@ def _check_renderable(ctx: Context) -> None:
 
 def _image_lines(s: SoftSet, indent: str) -> list[str]:
     ctx = s.context
+    # Bit k of a mask is character k of its reversed binary digits.
+    digits = f"0{len(ctx.objects)}b"
     lines = []
     for parameter, mask in zip(ctx.parameters, s.masks):
         if mask:
-            members = " ".join(o for i, o in enumerate(ctx.objects) if mask >> i & 1)
+            members = " ".join(
+                o for o, d in zip(ctx.objects, format(mask, digits)[::-1]) if d == "1"
+            )
             lines.append(f"{indent}{parameter}: {members}")
     return lines
 

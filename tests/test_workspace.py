@@ -1,5 +1,7 @@
 """Workspace text format: loader, renderer, round trips."""
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from softsets.errors import ContextMismatch, FormatError
 from softsets.houses import bundled_workspace_text, houses_workspace
 from softsets.laws import enumerate_soft_sets
-from softsets.model import SoftSet, new_context
+from softsets.model import SoftSet, new_context, soft_set
 from softsets.workspace import (
     Workspace,
     load_workspace,
@@ -49,6 +51,11 @@ class TestLoad:
         ws = load_workspace(HEADER + "softset F:\n")
         assert ws.bindings["F"].is_empty()
 
+    def test_object_repeated_within_a_line_loads_once(self):
+        ws = load_workspace(HEADER + "softset F:\n  e3: h2 h4 h2 h2\n")
+        assert ws.bindings["F"].image("e3") == {"h2", "h4"}
+        assert ws == load_workspace(HEADER + "softset F:\n  e3: h2 h4\n")
+
     def test_empty_image_line_warns_and_is_dropped(self):
         with pytest.warns(UserWarning, match="empty image"):
             ws = load_workspace(HEADER + "softset F:\n  e2:\n  e3: h1\n")
@@ -69,6 +76,19 @@ class TestLoadErrors:
     def test_unknown_object(self):
         err = self.error(HEADER + "softset F:\n  e1: h9\n")
         assert "h9" in str(err)
+
+    def test_first_unknown_object_in_line_order_is_named(self):
+        err = self.error(HEADER + "softset F:\n  e1: h1 h9 h2 h8\n")
+        assert str(err) == "line 4: unknown object 'h9'"
+        assert err.line == 4
+
+    def test_unknown_parameter_is_reported_before_unknown_objects(self):
+        err = self.error(HEADER + "softset F:\n  e1: h1\n  e9: h9\n")
+        assert str(err) == "line 5: unknown parameter 'e9'"
+
+    def test_repeated_parameter_is_reported_before_unknown_objects(self):
+        err = self.error(HEADER + "softset F:\n  e1: h1\n  e1: h9\n")
+        assert str(err) == "line 5: parameter 'e1' listed twice in one soft set"
 
     def test_missing_universe_header(self):
         assert "universe" in str(self.error("parameters: e1\n"))
@@ -193,6 +213,23 @@ class TestRender:
         with pytest.raises(ValueError):
             render_workspace(Workspace(headerish, {}))
 
+    # "#" starts a comment; each of the others is whitespace to str.split(),
+    # which the loader uses to cut a line into tokens.
+    @pytest.mark.parametrize(
+        "char",
+        [" ", "\t", "\r", "\n", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x1f",
+         "\x85", "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u3000", "#"],
+        ids=ascii,
+    )
+    def test_identifiers_the_loader_would_cut_are_rejected(self, char):
+        assert char == "#" or f"a{char}b".split() == ["a", "b"]
+        spaced_object = new_context(("x1", f"a{char}b"), ("e1",))
+        with pytest.raises(ValueError, match="object name"):
+            render_workspace(Workspace(spaced_object, {}))
+        spaced_parameter = new_context(("x1",), (f"e{char}1", "e2"))
+        with pytest.raises(ValueError, match="parameter name"):
+            render_workspace(Workspace(spaced_parameter, {}))
+
     def test_render_soft_set_is_unindented(self, ctx22):
         s = make(ctx22, e1="x1 x2", e2="x2")
         assert render_soft_set(s) == "e1: x1 x2\ne2: x2\n"
@@ -241,3 +278,115 @@ def test_load_render_load_fixpoint(ws):
     loaded = load_workspace(text)
     assert loaded == ws
     assert render_workspace(loaded) == text
+
+
+@pytest.mark.parametrize("n_objects", [65, 97, 128, 129, 130])
+def test_wide_frame_round_trip(n_objects):
+    # Masks wider than one 64-bit word, with only the first object, only
+    # the last one, or every object.
+    ctx = new_context(
+        tuple(f"x{i}" for i in range(1, n_objects + 1)), ("e1", "e2", "e3", "e4")
+    )
+    first, last, every = 1, 1 << n_objects - 1, ctx.full_mask
+    rows = [(first, last, every, 0), (last, every, 0, first), (every, 0, first, last)]
+    ws = Workspace(
+        ctx, {f"S{k}": SoftSet.from_masks(ctx, masks) for k, masks in enumerate(rows)}
+    )
+    text = render_workspace(ws)
+    loaded = load_workspace(text)
+    assert loaded == ws
+    assert render_workspace(loaded) == text
+    for s in ws.bindings.values():
+        expected = "".join(
+            f"{p}: " + " ".join(o for i, o in enumerate(ctx.objects) if m >> i & 1) + "\n"
+            for p, m in zip(ctx.parameters, s.masks)
+            if m
+        )
+        assert render_soft_set(s) == expected
+
+
+def _reference_load(text):
+    """The loader in two steps, for well-formed text: split every line
+    into tokens, then build each block with model.soft_set from its
+    (parameter, objects) pairs.  Returns the workspace, the messages of
+    the warnings the loader should give, and each block's images as sets
+    of object names."""
+    objects = ctx = None
+    blocks, messages = {}, []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        head, rest = tokens[0], tokens[1:]
+        if head == "universe:":
+            objects = rest
+        elif head == "parameters:":
+            ctx = new_context(objects, rest)
+        elif head == "softset":
+            pairs = blocks[rest[0][:-1]] = []
+        else:
+            if not rest:
+                messages.append(f"line {lineno}: dropping empty image for parameter {head[:-1]!r}")
+            pairs.append((head[:-1], rest))
+    bindings = {name: soft_set(ctx, pairs) for name, pairs in blocks.items()}
+    images = {
+        name: {p: frozenset(objs) for p, objs in pairs if objs}
+        for name, pairs in blocks.items()
+    }
+    return Workspace(ctx, bindings), messages, images
+
+
+_GAPS = st.sampled_from([" ", "  ", "\t", " \t "])
+_FILLER = st.lists(st.sampled_from(["", "   ", "# a comment", "\t# tabbed comment"]), max_size=2)
+_TAILS = st.sampled_from(["", "  ", " # trailing", "\t#"])
+
+
+@st.composite
+def _workspace_texts(draw):
+    """Well-formed workspace text over up to 130 objects, with comments,
+    tabs, blank lines, empty image lines, and shuffled and repeated
+    objects within image lines."""
+    n_objects = draw(st.integers(min_value=0, max_value=130))
+    n_params = draw(st.integers(min_value=0, max_value=6)) if n_objects else 0
+    objects = draw(st.permutations([f"o{i}" for i in range(n_objects)]))
+    parameters = [f"e{i}" for i in range(n_params)]
+    lines = []
+
+    def line(*tokens):
+        lines.extend(draw(_FILLER))
+        text = tokens[0] + "".join(draw(_GAPS) + t for t in tokens[1:])
+        lines.append(draw(st.sampled_from(["", "  ", "\t"])) + text + draw(_TAILS))
+
+    line("universe:", *objects)
+    line("parameters:", *parameters)
+    for b in range(draw(st.integers(min_value=0, max_value=3))):
+        line("softset", f"S{b}:")
+        defined = draw(st.permutations(parameters))
+        for p in defined[: draw(st.integers(min_value=0, max_value=n_params))]:
+            chosen = draw(
+                st.one_of(
+                    st.just([]),
+                    st.lists(st.sampled_from(objects), min_size=1, max_size=12),
+                    st.permutations(objects),
+                )
+            )
+            if chosen:
+                chosen = chosen + draw(st.lists(st.sampled_from(chosen), max_size=3))
+            line(f"{p}:", *draw(st.permutations(chosen)))
+    lines.extend(draw(_FILLER))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_workspace_texts())
+def test_load_matches_the_two_step_reference(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ws = load_workspace(text)
+    expected, messages, images = _reference_load(text)
+    assert ws == expected
+    assert list(ws.bindings) == list(expected.bindings)
+    assert {name: s.assignment for name, s in ws.bindings.items()} == images
+    assert [str(w.message) for w in caught] == messages
+    # stacklevel=2 points each warning at the loader's caller
+    assert all(w.filename == __file__ for w in caught)
