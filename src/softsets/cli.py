@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> Workspace:
-    return load_workspace(Path(path).read_text(encoding="utf-8"))
+    return load_workspace(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -8,8 +8,11 @@ Grammar (loosest binding first):
     atom       := NAME | "EMPTY" | "UNIVERSAL" | "(" expression ")"
 
 `&` and `-` share a precedence level and all binary operators associate
-to the left; `^c` is postfix.  Names match [A-Za-z_][A-Za-z0-9_]*, with
-EMPTY and UNIVERSAL reserved as constants.
+to the left; `^c` is postfix.  The lexer matches one pattern per lexeme
+and looks its kind up in one table: spaces, tabs, carriage returns and
+newlines only separate lexemes, and a word [A-Za-z_][A-Za-z0-9_]* that
+the table does not list (EMPTY and UNIVERSAL are reserved) is a NAME, as
+``is_name`` tells.
 
 Laws (``parse_formula``) extend the language with relations and
 connectives:
@@ -51,6 +54,7 @@ __all__ = [
     "Difference",
     "Formula",
     "tokenize",
+    "is_name",
     "parse",
     "parse_text",
     "parse_formula",
@@ -78,6 +82,7 @@ EQ = "EQ"
 LE = "LE"
 IMPLIES = "IMPLIES"
 IFF = "IFF"
+END = "END"  # closes the parser's input; tokenize never emits it
 
 
 @dataclass(frozen=True)
@@ -210,67 +215,38 @@ _BINARY = (Intersect, Union, Difference, Formula)
 # ---------------------------------------------------------------------------
 # Lexer
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 
-_SINGLE = {
-    "&": AMP,
-    "|": PIPE,
-    "-": MINUS,
-    "\\": MINUS,
-    "(": LPAREN,
-    ")": RPAREN,
+# Blanks, then at most one lexeme, the longer relations first.  The
+# pattern always matches; its group is None where no lexeme starts.
+_LEXEME_RE = re.compile(rf"[ \t\r]*(<=>|<=|=>|=|\^c|[&|\\()-]|{_NAME})?")
+
+# Kind of every lexeme that is not a NAME.
+_KINDS = {
+    "&": AMP, "|": PIPE, "-": MINUS, "\\": MINUS, "(": LPAREN, ")": RPAREN, "^c": CARET_C,
+    "<=>": IFF, "<=": LE, "=>": IMPLIES, "=": EQ,
+    "EMPTY": EMPTY_KW, "UNIVERSAL": UNIV_KW,
 }
-
-_KEYWORDS = {"EMPTY": EMPTY_KW, "UNIVERSAL": UNIV_KW}
-
-_RELATION_RE = re.compile(r"<=>|<=|=>|=")
-_RELATIONS = {"<=>": IFF, "<=": LE, "=>": IMPLIES, "=": EQ}
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            column += 1
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, column))
-            column += 1
-            i += 1
-            continue
-        if ch == "^":
-            if i + 1 < len(text) and text[i + 1] == "c":
-                tokens.append(Token(CARET_C, "^c", line, column))
-                column += 2
-                i += 2
-                continue
-            raise LexError("expected 'c' after '^'", line, column)
-        m = _RELATION_RE.match(text, i)
-        if m:
-            word = m.group()
-            tokens.append(Token(_RELATIONS[word], word, line, column))
-            column += len(word)
-            i += len(word)
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = _KEYWORDS.get(word, NAME)
-            tokens.append(Token(kind, word, line, column))
-            column += len(word)
-            i += len(word)
-            continue
-        raise LexError(f"illegal character {ch!r}", line, column)
+    for line, source in enumerate(text.split("\n"), start=1):
+        m = _LEXEME_RE.match(source)
+        while word := m[1]:
+            tokens.append(Token(_KINDS.get(word, NAME), word, line, m.start(1) + 1))
+            m = _LEXEME_RE.match(source, m.end())
+        if m.end() < len(source):
+            ch = source[m.end()]
+            message = "expected 'c' after '^'" if ch == "^" else f"illegal character {ch!r}"
+            raise LexError(message, line, m.end() + 1)
     return tokens
+
+
+def is_name(text: str) -> bool:
+    """Whether ``text`` lexes as exactly one NAME token."""
+    return _NAME_RE.fullmatch(text) is not None and text not in _KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +256,15 @@ def tokenize(text: str) -> list[Token]:
 class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = list(tokens)
+        # One END token just past the last lexeme closes the input, so
+        # peek() always has a token to return.
+        last = self.tokens[-1] if self.tokens else Token(END, "", 1, 1)
+        self.tokens.append(Token(END, "", last.line, last.column + len(last.text)))
         self.pos = 0
         self.depth = 0  # open parentheses around the current position
 
-    def _end_position(self) -> tuple[int, int]:
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.line, last.column + len(last.text)
-        return 1, 1
-
-    def peek(self) -> Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -301,14 +273,14 @@ class _Parser:
 
     def expression(self) -> Expr:
         node = self.term()
-        while (tok := self.peek()) is not None and tok.kind == PIPE:
+        while self.peek().kind == PIPE:
             self.advance()
             node = Union(node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind in (AMP, MINUS):
+        while self.peek().kind in (AMP, MINUS):
             op = self.advance()
             right = self.factor()
             node = Intersect(node, right) if op.kind == AMP else Difference(node, right)
@@ -316,16 +288,13 @@ class _Parser:
 
     def factor(self) -> Expr:
         node = self.atom()
-        while (tok := self.peek()) is not None and tok.kind == CARET_C:
+        while self.peek().kind == CARET_C:
             self.advance()
             node = Complement(node)
         return node
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok is None:
-            line, column = self._end_position()
-            raise ParseError("unexpected end of input", line, column)
         if tok.kind == NAME:
             self.advance()
             return Name(tok.text)
@@ -344,24 +313,25 @@ class _Parser:
             self.depth += 1
             node = self.expression()
             self.depth -= 1
-            closing = self.peek()
-            if closing is None or closing.kind != RPAREN:
+            if self.peek().kind != RPAREN:
                 raise ParseError("unbalanced parenthesis", tok.line, tok.column)
             self.advance()
             return node
+        if tok.kind == END:
+            raise ParseError("unexpected end of input", tok.line, tok.column)
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 
     def formula(self) -> Formula:
         node = self.conjunction()
         tok = self.peek()
-        if tok is not None and tok.kind in (IMPLIES, IFF):
+        if tok.kind in (IMPLIES, IFF):
             self.advance()
             node = Formula(tok.text, node, self.conjunction())
         return node
 
     def conjunction(self) -> Formula:
         node = self.relation()
-        while (tok := self.peek()) is not None and tok.kind == NAME and tok.text == "and":
+        while (tok := self.peek()).kind == NAME and tok.text == "and":
             self.advance()
             node = Formula("and", node, self.relation())
         return node
@@ -369,15 +339,14 @@ class _Parser:
     def relation(self) -> Formula:
         left = self.expression()
         tok = self.peek()
-        if tok is None or tok.kind not in (EQ, LE):
-            line, column = (tok.line, tok.column) if tok else self._end_position()
-            raise ParseError("expected '=' or '<='", line, column)
+        if tok.kind not in (EQ, LE):
+            raise ParseError("expected '=' or '<='", tok.line, tok.column)
         self.advance()
         return Formula(tok.text, left, self.expression())
 
     def finish(self) -> None:
         trailing = self.peek()
-        if trailing is not None:
+        if trailing.kind != END:
             raise ParseError(
                 f"trailing input starting at {trailing.text!r}", trailing.line, trailing.column
             )

@@ -22,8 +22,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ContextMismatch, FormatError, LexError, SoftSetError, UnknownObject
-from .expr import NAME, tokenize
+from .errors import ContextMismatch, FormatError, SoftSetError, UnknownObject
+from .expr import is_name
 from .model import Context, SoftSet, new_context
 
 # The loader packs its soft sets itself and never calls soft_set.  The
@@ -32,16 +32,6 @@ from .model import Context, SoftSet, new_context
 from .model import soft_set  # noqa: F401
 
 __all__ = ["Workspace", "load_workspace", "render_workspace", "render_soft_set"]
-
-
-def _is_name_lexeme(text: str) -> bool:
-    # A binding name must be exactly what the expression lexer reads as
-    # one NAME token, so every binding stays reachable from expressions.
-    try:
-        tokens = tokenize(text)
-    except LexError:
-        return False
-    return len(tokens) == 1 and tokens[0].kind == NAME and tokens[0].text == text
 
 
 @dataclass(frozen=True)
@@ -54,7 +44,10 @@ class Workspace:
     def __post_init__(self):
         object.__setattr__(self, "bindings", dict(self.bindings))
         for name, bound in self.bindings.items():
-            if not _is_name_lexeme(name):
+            # A binding name must be exactly one NAME of the expression
+            # language (the loader checks the same), so that every
+            # binding stays reachable from expressions.
+            if not is_name(name):
                 raise ValueError(f"binding name {name!r} is not a NAME lexeme")
             if bound.context != self.context:
                 raise ContextMismatch(
@@ -118,7 +111,7 @@ def load_workspace(text: str) -> Workspace:
             if len(tokens) != 2 or not tokens[1].endswith(":"):
                 raise FormatError("malformed softset line", lineno)
             name = tokens[1][:-1]
-            if not _is_name_lexeme(name):
+            if not is_name(name):
                 raise FormatError(f"invalid soft set name {name!r}", lineno)
             if name in bindings or name == block_name:
                 raise FormatError(f"duplicate soft set name {name!r}", lineno)
@@ -177,14 +170,15 @@ def _check_renderable(ctx: Context) -> None:
 
 def _image_lines(s: SoftSet, indent: str) -> list[str]:
     ctx = s.context
-    # Bit k of a mask is character k of its reversed binary digits.
-    digits = f"0{len(ctx.objects)}b"
+    n = len(ctx.objects)
+    # Parameter i holds characters i·|U| to (i+1)·|U| of the binary
+    # digits of s.bits; reversed, their character k is object k.
+    digits = format(s.bits, f"0{n * len(ctx.parameters)}b")
     lines = []
-    for parameter, mask in zip(ctx.parameters, s.masks):
-        if mask:
-            members = " ".join(
-                o for o, d in zip(ctx.objects, format(mask, digits)[::-1]) if d == "1"
-            )
+    for i, parameter in enumerate(ctx.parameters):
+        block = digits[i * n : (i + 1) * n][::-1]
+        if "1" in block:
+            members = " ".join(o for o, d in zip(ctx.objects, block) if d == "1")
             lines.append(f"{indent}{parameter}: {members}")
     return lines
 

@@ -119,6 +119,17 @@ class TestShow:
         assert main(["show", str(path)]) == 0
         assert capsys.readouterr().out == once
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        text = b"universe: a b\nparameters: e1\nsoftset F:\n  e1: a\n"
+        plain, marked = tmp_path / "plain.sset", tmp_path / "marked.sset"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["show", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["show", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+        assert expected.out.encode() == text and expected.err == ""
+
 
 class TestCheckLaws:
     def test_defaults_pass_with_one_line_per_law(self, capsys):

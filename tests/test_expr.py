@@ -1,6 +1,7 @@
 """Expression language: lexer, parser, evaluator, renderer."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from softsets.expr import (
     Union,
     Universal,
     evaluate,
+    is_name,
     parse,
     parse_formula,
     parse_text,
@@ -47,6 +49,22 @@ from .conftest import make
 
 def kinds(text):
     return [t.kind for t in tokenize(text)]
+
+
+def _unblanked(text):
+    return re.sub(r"[ \t\r\n]", "", text)
+
+
+# Texts drawn from lexemes, near-lexemes (a lone `^` or `<`), blanks and
+# illegal characters, so both outcomes of the lexer come up often.
+_texts = st.lists(
+    st.sampled_from(
+        ["F", "G1", "_x", "and", "EMPTY", "UNIVERSAL", "EMPTYX", "c"]
+        + ["&", "|", "-", "\\", "(", ")", "^c", "=", "<=", "=>", "<=>", "^", "<"]
+        + [" ", "\t", "\r", "\n", "?", "é", "9"]
+    ),
+    max_size=12,
+).map("".join)
 
 
 class TestTokenize:
@@ -73,6 +91,14 @@ class TestTokenize:
         tokens = tokenize("F |\n  G")
         assert (tokens[2].line, tokens[2].column) == (2, 3)
 
+    def test_blanks_only_separate_tokens(self):
+        tokens = tokenize(" F\t&\r\n\r G\r")
+        assert [(t.text, t.line, t.column) for t in tokens] == [
+            ("F", 1, 2),
+            ("&", 1, 4),
+            ("G", 2, 3),
+        ]
+
     def test_keyword_must_stand_alone(self):
         # EMPTYX is a name, not the keyword plus a letter
         tokens = tokenize("EMPTYX")
@@ -95,6 +121,51 @@ class TestTokenize:
         with pytest.raises(LexError) as exc_info:
             tokenize("F\n ?")
         assert (exc_info.value.line, exc_info.value.column) == (2, 2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_texts)
+    def test_tokens_cover_the_text_or_the_error_is_at_the_first_gap(self, text):
+        lines = text.split("\n")
+        try:
+            tokens = tokenize(text)
+        except LexError as exc:
+            offset = sum(len(line) + 1 for line in lines[: exc.line - 1]) + exc.column - 1
+            # The text before the error lexes and is covered by its tokens...
+            assert "".join(t.text for t in tokenize(text[:offset])) == _unblanked(text[:offset])
+            # ...and no lexeme starts at the character the error names.
+            rest = text[offset:]
+            with pytest.raises(LexError) as rest_info:
+                tokenize(rest)
+            assert (rest_info.value.line, rest_info.value.column) == (1, 1)
+            expected = "expected 'c' after '^'" if rest[0] == "^" else f"illegal character {rest[0]!r}"
+            assert exc.message == expected
+            return
+        for t in tokens:
+            start = t.column - 1
+            assert lines[t.line - 1][start : start + len(t.text)] == t.text
+        assert "".join(t.text for t in tokens) == _unblanked(text)
+        assert [(t.line, t.column) for t in tokens] == sorted((t.line, t.column) for t in tokens)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_texts)
+    def test_is_name_is_one_name_token(self, text):
+        try:
+            tokens = tokenize(text)
+        except LexError:
+            tokens = []
+        one_name = len(tokens) == 1 and tokens[0].kind == NAME and tokens[0].text == text
+        assert is_name(text) == one_name
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("F", True), ("and", True), ("_", True), ("EMPTYX", True), ("x_9", True),
+            ("EMPTY", False), ("UNIVERSAL", False), ("", False), ("F\n", False),
+            (" F", False), ("9a", False), ("é", False), ("F^c", False), ("F G", False),
+        ],
+    )
+    def test_is_name(self, text, expected):
+        assert is_name(text) is expected
 
 
 class TestParse:
@@ -145,13 +216,27 @@ class TestParse:
             parse_text("F G")
         assert (exc_info.value.line, exc_info.value.column) == (1, 3)
 
-    def test_empty_input(self):
-        with pytest.raises(ParseError):
-            parse_text("")
+    @pytest.mark.parametrize(
+        "text", [pytest.param("", id="empty"), pytest.param("   ", id="blanks")]
+    )
+    def test_empty_input(self, text):
+        with pytest.raises(ParseError) as exc_info:
+            parse_text(text)
+        assert str(exc_info.value) == "1:1: unexpected end of input"
 
-    def test_dangling_operator(self):
-        with pytest.raises(ParseError):
-            parse_text("F &")
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            pytest.param("F &", 1, 4, id="one-line"),
+            pytest.param("F |\n  G &", 2, 6, id="two-lines"),
+        ],
+    )
+    def test_dangling_operator(self, text, line, column):
+        # The error sits just past the last token.
+        with pytest.raises(ParseError) as exc_info:
+            parse_text(text)
+        assert str(exc_info.value) == f"{line}:{column}: unexpected end of input"
+        assert (exc_info.value.line, exc_info.value.column) == (line, column)
 
     def test_unexpected_token(self):
         with pytest.raises(ParseError) as exc_info:
@@ -160,6 +245,7 @@ class TestParse:
 
     def test_parse_accepts_a_token_sequence(self):
         assert parse(tokenize("F | G")) == Union(Name("F"), Name("G"))
+        assert parse(t for t in tokenize("F | G")) == Union(Name("F"), Name("G"))
 
     def test_nesting_up_to_the_limit_parses(self):
         text = "(" * MAX_NESTING + "F" + ")" * MAX_NESTING
@@ -383,6 +469,20 @@ class TestFormula:
     def test_malformed_laws(self, text):
         with pytest.raises(ParseError):
             parse_formula(text)
+
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("F", "expected '=' or '<='", 1, 2),
+            ("F = G and", "unexpected end of input", 1, 10),
+            ("F = G =>", "unexpected end of input", 1, 9),
+        ],
+    )
+    def test_end_of_input_positions(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc_info:
+            parse_formula(text)
+        assert str(exc_info.value) == f"{line}:{column}: {message}"
+        assert (exc_info.value.line, exc_info.value.column) == (line, column)
 
     def test_and_stays_a_name_in_expressions(self):
         assert parse_text("and & F") == Intersect(Name("and"), Name("F"))
