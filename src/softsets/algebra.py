@@ -11,7 +11,8 @@ empty is simply undefined in the result, so no operation can ever leak
 an empty image.
 
 The functions read nothing from a context but ``full_bits``, and compare
-the two operands' contexts; nothing else of the frame is touched.  Law
+the two operands' contexts, by identity first and by equality only when
+they are distinct objects; nothing else of the frame is touched.  Law
 checking relies on this contract: it evaluates a chunk of argument
 tuples at once as soft sets over a minimal frame that holds only
 ``full_bits`` (see ``softsets.laws``).
@@ -20,7 +21,7 @@ tuples at once as soft sets over a minimal frame that holds only
 from __future__ import annotations
 
 from .errors import ContextMismatch
-from .model import Context, SoftSet
+from .model import SoftSet
 
 __all__ = [
     "subset",
@@ -32,13 +33,14 @@ __all__ = [
 ]
 
 
-def _shared_context(s: SoftSet, t: SoftSet) -> Context:
-    ctx = s.context
-    if ctx is not t.context and ctx != t.context:
+def _shared_context(s: SoftSet, t: SoftSet) -> None:
+    """Raise ContextMismatch unless t's context equals s's.  The callers
+    test identity inline first and call this only for distinct context
+    objects, which spares the call on the common path."""
+    if s.context != t.context:
         raise ContextMismatch(
             f"soft sets live over different contexts: {s.context!r} vs {t.context!r}"
         )
-    return ctx
 
 
 # Each operation is one integer operation on the packed bits, applied to
@@ -62,27 +64,35 @@ def _shared_context(s: SoftSet, t: SoftSet) -> Context:
 def subset(s: SoftSet, t: SoftSet) -> bool:
     """True iff every parameter defined in s is defined in t with a
     superset image.  The empty soft set is a subset of everything."""
-    _shared_context(s, t)
+    if s.context is not t.context:
+        _shared_context(s, t)
     return not s.bits & ~t.bits
 
 
 def equals(s: SoftSet, t: SoftSet) -> bool:
     """True iff s and t have the same domain and the same images;
     equivalently, each is a subset of the other."""
-    _shared_context(s, t)
+    if s.context is not t.context:
+        _shared_context(s, t)
     return s.bits == t.bits
 
 
 def intersection(s: SoftSet, t: SoftSet) -> SoftSet:
     """Parameter-wise image intersection, defined exactly where both
     operands are defined and the images meet."""
-    return SoftSet(_shared_context(s, t), s.bits & t.bits)
+    ctx = s.context
+    if ctx is not t.context:
+        _shared_context(s, t)
+    return SoftSet(ctx, s.bits & t.bits)
 
 
 def union(s: SoftSet, t: SoftSet) -> SoftSet:
     """Defined wherever either operand is; keeps the lone image on the
     symmetric difference of the domains, joins images on the overlap."""
-    return SoftSet(_shared_context(s, t), s.bits | t.bits)
+    ctx = s.context
+    if ctx is not t.context:
+        _shared_context(s, t)
+    return SoftSet(ctx, s.bits | t.bits)
 
 
 def complement(s: SoftSet) -> SoftSet:
@@ -101,4 +111,7 @@ def difference(s: SoftSet, t: SoftSet) -> SoftSet:
     """Relative complement of t in s: image-wise s minus t where both
     are defined (dropping parameters t fully covers), s's own image
     elsewhere on s's domain."""
-    return SoftSet(_shared_context(s, t), s.bits & ~t.bits)
+    ctx = s.context
+    if ctx is not t.context:
+        _shared_context(s, t)
+    return SoftSet(ctx, s.bits & ~t.bits)

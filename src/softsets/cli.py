@@ -200,3 +200,7 @@ def main(argv: "list[str] | None" = None) -> int:
 def run() -> None:
     """The ``[project.scripts]`` target: passes ``main``'s exit code to ``sys.exit``."""
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

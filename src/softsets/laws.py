@@ -293,7 +293,8 @@ def random_soft_set(
 #
 # * ``check(ctx, args)`` runs the steps on one tuple's soft sets over
 #   their own context, where w = 1, and reads the violation detail off
-#   the values of that run; shrinking and replay use this;
+#   the values of that run; replay uses this, and shrinking uses
+#   ``violates(ctx, args)``, the same run without the detail;
 # * ``failures`` runs them on a chunk of tuples over a chunk frame.
 #   Exhaustive checking builds the chunks of the enumeration
 #   (``first_failure``, tuples in ``itertools.product`` order, the last
@@ -347,10 +348,11 @@ class FormulaCheck:
 
     Called as ``check(ctx, args)`` it returns None or a violation detail,
     like any law check, and raises ContextMismatch for an argument over
-    another frame than ctx.  ``failures`` evaluates a chunk of tuples at
-    once with the same steps, and ``first_failure(ctx)`` finds the index
-    of the first violating tuple of an exhaustive check without building
-    one.
+    another frame than ctx; ``violates(ctx, args)`` makes the same run
+    and only says whether the tuple violates the law.  ``failures``
+    evaluates a chunk of tuples at once with the same steps, and
+    ``first_failure(ctx)`` finds the index of the first violating tuple
+    of an exhaustive check without building one.
     """
 
     def __init__(self, text: str, arg_names: tuple[str, ...]):
@@ -382,9 +384,7 @@ class FormulaCheck:
         self._conclusion = hypothesis + 1 if kind == "=>" else len(arg_names)
 
     def __call__(self, ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
-        for arg in args:
-            if arg.context is not ctx and arg.context != ctx:
-                raise ContextMismatch(f"an argument lives over {arg.context!r}, not {ctx!r}")
+        _check_contexts(ctx, args)
         failing, values = self._run(ctx, args, len(ctx.objects) * len(ctx.parameters), 1)
         if not failing:
             return None
@@ -398,6 +398,12 @@ class FormulaCheck:
             if step[0] in ("=", "<=") and not value
         )
         return _FAILURES[kind].format(values[a], values[b])
+
+    def violates(self, ctx: Context, args: tuple[SoftSet, ...]) -> bool:
+        """Whether ``check(ctx, args)`` would return a detail, without
+        formatting one; shrinking asks this of every candidate."""
+        _check_contexts(ctx, args)
+        return self._run(ctx, args, len(ctx.objects) * len(ctx.parameters), 1)[0] != 0
 
     def __repr__(self) -> str:
         return f"FormulaCheck({self.text!r}, {self.arg_names!r})"
@@ -471,6 +477,12 @@ class FormulaCheck:
             if failing:
                 return (chunk << width) + _lowest_bit(failing)
         return None
+
+
+def _check_contexts(ctx: Context, args: tuple[SoftSet, ...]) -> None:
+    for arg in args:
+        if arg.context is not ctx and arg.context != ctx:
+            raise ContextMismatch(f"an argument lives over {arg.context!r}, not {ctx!r}")
 
 
 def _lowest_bit(plane: int) -> int:
@@ -676,20 +688,21 @@ def _reductions(
     earlier context positions."""
     n_params = len(ctx.parameters)
     n_objects = len(ctx.objects)
+    arg_masks = [a.masks for a in args]
 
     # Drop a parameter from the frame entirely.
     for j in range(n_params):
         smaller = _drop_parameter(ctx, j)
         yield smaller, tuple(
-            SoftSet.from_masks(smaller, a.masks[:j] + a.masks[j + 1 :]) for a in args
+            SoftSet.from_masks(smaller, masks[:j] + masks[j + 1 :]) for masks in arg_masks
         )
 
     # Make one parameter undefined in one argument.
-    for i, a in enumerate(args):
+    for i, masks in enumerate(arg_masks):
         for j in range(n_params):
-            if a.masks[j]:
-                masks = a.masks[:j] + (0,) + a.masks[j + 1 :]
-                yield ctx, args[:i] + (SoftSet.from_masks(ctx, masks),) + args[i + 1 :]
+            if masks[j]:
+                reduced = masks[:j] + (0,) + masks[j + 1 :]
+                yield ctx, args[:i] + (SoftSet.from_masks(ctx, reduced),) + args[i + 1 :]
 
     # Drop an object from the universe (images losing their last member
     # become undefined; an emptied universe is only legal without
@@ -698,18 +711,18 @@ def _reductions(
         for k in range(n_objects):
             smaller = _drop_object(ctx, k)
             yield smaller, tuple(
-                SoftSet.from_masks(smaller, (_squeeze_bit(m, k) for m in a.masks))
-                for a in args
+                SoftSet.from_masks(smaller, (_squeeze_bit(m, k) for m in masks))
+                for masks in arg_masks
             )
 
     # Remove one object from one image, keeping the image nonempty.
-    for i, a in enumerate(args):
+    for i, masks in enumerate(arg_masks):
         for j in range(n_params):
-            m = a.masks[j]
+            m = masks[j]
             for k in range(n_objects):
                 if m >> k & 1 and m != 1 << k:
-                    masks = a.masks[:j] + (m & ~(1 << k),) + a.masks[j + 1 :]
-                    yield ctx, args[:i] + (SoftSet.from_masks(ctx, masks),) + args[i + 1 :]
+                    reduced = masks[:j] + (m & ~(1 << k),) + masks[j + 1 :]
+                    yield ctx, args[:i] + (SoftSet.from_masks(ctx, reduced),) + args[i + 1 :]
 
 
 def shrink(
@@ -719,11 +732,18 @@ def shrink(
 
     First-improvement search over the fixed reduction order; every
     accepted step still violates the law, so the result does too.
-    Deterministic, and only locally minimal.
+    Deterministic, and only locally minimal.  A law written as text is
+    only asked whether a candidate violates it (``FormulaCheck.violates``),
+    so no detail is formatted for a candidate.
     """
+    check = law.check
+    if isinstance(check, FormulaCheck):
+        violates = check.violates
+    else:
+        violates = lambda c, a: check(c, a) is not None  # noqa: E731
     while True:
         for smaller_ctx, smaller_args in _reductions(ctx, args):
-            if law.check(smaller_ctx, smaller_args) is not None:
+            if violates(smaller_ctx, smaller_args):
                 ctx, args = smaller_ctx, smaller_args
                 break
         else:

@@ -18,7 +18,7 @@ shrinking read the per-parameter masks, unpacked on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -57,15 +57,33 @@ def _check_identifiers(kind: str, names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+def _members(names: tuple[str, ...], mask: int) -> list[str]:
+    """The names whose bits are set in ``mask``, in order, visiting only
+    the set bits."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(names[low.bit_length() - 1])
+        mask ^= low
+    return members
+
+
 @dataclass(frozen=True)
 class Context:
     """Shared frame for soft sets: an ordered universe of objects plus an
     ordered parameter space.  Declaration order is the canonical order used
     by every rendering.  Immutable; equal contexts are interchangeable.
+
+    ``full_mask`` and ``full_bits`` are computed once, on construction,
+    since every soft set built over the context reads ``full_bits``.
     """
 
     objects: tuple[str, ...]
     parameters: tuple[str, ...]
+    #: Bitmask of the whole universe.
+    full_mask: int = field(init=False, repr=False, compare=False)
+    #: Packed bits of the universal soft set: every mask full.
+    full_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -77,6 +95,9 @@ class Context:
                 "a context with parameters needs a nonempty universe: "
                 "no parameter can have a nonempty image over an empty universe"
             )
+        width = len(self.objects)
+        object.__setattr__(self, "full_mask", (1 << width) - 1)
+        object.__setattr__(self, "full_bits", (1 << width * len(self.parameters)) - 1)
 
     @cached_property
     def object_index(self) -> dict[str, int]:
@@ -97,16 +118,6 @@ class Context:
         width, last = len(self.objects), len(self.parameters) - 1
         return {name: width * (last - i) for i, name in enumerate(self.parameters)}
 
-    @cached_property
-    def full_mask(self) -> int:
-        """Bitmask of the whole universe."""
-        return (1 << len(self.objects)) - 1
-
-    @cached_property
-    def full_bits(self) -> int:
-        """Packed bits of the universal soft set: every mask full."""
-        return (1 << len(self.objects) * len(self.parameters)) - 1
-
     def object_mask(self, names: Iterable[str]) -> int:
         bit = self.object_bit
         mask = 0
@@ -118,7 +129,7 @@ class Context:
         return mask
 
     def objects_of_mask(self, mask: int) -> frozenset[str]:
-        return frozenset(name for i, name in enumerate(self.objects) if mask >> i & 1)
+        return frozenset(_members(self.objects, mask))
 
     def __repr__(self):
         return f"Context(objects={list(self.objects)}, parameters={list(self.parameters)})"
@@ -133,7 +144,10 @@ def new_context(objects: Sequence[str], parameters: Sequence[str]) -> Context:
     return Context(tuple(objects), tuple(parameters))
 
 
-@dataclass(frozen=True)
+# Sets a slot of a SoftSet, whose own __setattr__ refuses every write.
+_set_slot = object.__setattr__
+
+
 class SoftSet:
     """An immutable soft set over ``context``.
 
@@ -141,17 +155,46 @@ class SoftSet:
     docstring); mask 0 means the parameter is outside the domain.  Use
     the constructors (:func:`soft_set` and friends, or
     :meth:`from_masks`) rather than packing bits by hand.
+
+    A slotted class: its two attributes are set once, in ``__init__``,
+    and any later assignment or deletion raises ``FrozenInstanceError``.
+    ``masks`` and ``assignment`` unpack ``bits`` again on each access.
+    Soft sets are equal, and hash equal, when their bits are equal and
+    their contexts are equal.
     """
+
+    __slots__ = ("context", "bits")
+    __match_args__ = ("context", "bits")
 
     context: Context
     bits: int
 
-    def __post_init__(self):
-        if not 0 <= self.bits <= self.context.full_bits:
+    def __init__(self, context: Context, bits: int):
+        if not 0 <= bits <= context.full_bits:
             raise ValueError(
                 f"bits out of range for a context of "
-                f"{len(self.context.objects)} objects x {len(self.context.parameters)} parameters"
+                f"{len(context.objects)} objects x {len(context.parameters)} parameters"
             )
+        _set_slot(self, "context", context)
+        _set_slot(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # A tuple compares identical contexts by identity, without a call.
+        return (self.bits, self.context) == (other.bits, other.context)
+
+    def __hash__(self):
+        return hash((self.context, self.bits))
+
+    def __reduce__(self):
+        return self.__class__, (self.context, self.bits)
 
     @classmethod
     def from_masks(cls, context: Context, masks: Iterable[int]) -> "SoftSet":
@@ -170,17 +213,19 @@ class SoftSet:
             bits = bits << width | m
         return cls(context, bits)
 
-    @cached_property
+    @property
     def masks(self) -> tuple[int, ...]:
         """One mask per context parameter, in context order."""
-        width = len(self.context.objects)
-        full = self.context.full_mask
+        ctx = self.context
+        width, bits, full = len(ctx.objects), self.bits, ctx.full_mask
+        if not width:  # no objects, so no parameters either
+            return ()
         return tuple(
-            self.bits >> width * i & full
-            for i in reversed(range(len(self.context.parameters)))
+            bits >> offset & full
+            for offset in range(width * (len(ctx.parameters) - 1), -1, -width)
         )
 
-    @cached_property
+    @property
     def assignment(self) -> Mapping[str, frozenset[str]]:
         """The defined parameters and their images, in context order."""
         ctx = self.context
@@ -191,7 +236,7 @@ class SoftSet:
         }
 
     def domain(self) -> frozenset[str]:
-        return frozenset(self.assignment)
+        return frozenset(name for name, m in zip(self.context.parameters, self.masks) if m)
 
     def image(self, parameter: str) -> frozenset[str] | None:
         """Image at ``parameter``, or None when the parameter is undefined.
@@ -199,12 +244,13 @@ class SoftSet:
         Never returns an empty set.  Unknown parameters (absent from the
         context) raise rather than counting as undefined.
         """
+        ctx = self.context
         try:
-            i = self.context.parameter_index[parameter]
+            offset = ctx.parameter_offset[parameter]
         except KeyError:
             raise UnknownParameter(f"unknown parameter {parameter!r}") from None
-        m = self.masks[i]
-        return self.context.objects_of_mask(m) if m else None
+        m = self.bits >> offset & ctx.full_mask
+        return ctx.objects_of_mask(m) if m else None
 
     def is_empty(self) -> bool:
         return not self.bits
@@ -241,11 +287,12 @@ class SoftSet:
 
     def __repr__(self):
         ctx = self.context
-        parts = []
-        for name, m in zip(ctx.parameters, self.masks):
-            if m:
-                objs = " ".join(o for i, o in enumerate(ctx.objects) if m >> i & 1)
-                parts.append(f"{name}: {objs}")
+        objects = ctx.objects
+        parts = [
+            f"{name}: {' '.join(_members(objects, m))}"
+            for name, m in zip(ctx.parameters, self.masks)
+            if m
+        ]
         return "SoftSet({" + "; ".join(parts) + "})"
 
 

@@ -48,6 +48,14 @@ def houses_ctx() -> Context:
     )
 
 
+def frame(n_objects: int, n_params: int) -> Context:
+    """The frame x1..xn by e1..em, as ``check-laws`` builds it."""
+    return new_context(
+        tuple(f"x{i}" for i in range(1, n_objects + 1)),
+        tuple(f"e{i}" for i in range(1, n_params + 1)),
+    )
+
+
 def make(ctx: Context, **images):
     """Shorthand: make(ctx, e1="x1 x2", e3="x2") builds a soft set."""
     return soft_set(ctx, [(p, objs.split()) for p, objs in images.items()])

@@ -214,6 +214,31 @@ class TestContextHandling:
             with pytest.raises(ContextMismatch):
                 op(a, b)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            algebra.intersection,
+            algebra.union,
+            algebra.difference,
+            algebra.subset,
+            algebra.equals,
+        ],
+        ids=lambda op: op.__name__,
+    )
+    def test_contexts_are_compared_by_value(self, op):
+        # distinct but equal context objects are the same frame; unequal
+        # ones are refused even when identity does not decide
+        ctx = new_context(("x1", "x2"), ("e1", "e2"))
+        twin = new_context(("x1", "x2"), ("e1", "e2"))
+        other = new_context(("x1", "x2"), ("e1", "e3"))
+        a = make(ctx, e1="x1 x2", e2="x2")
+        b = make(ctx, e1="x2")
+        assert op(a, make(twin, e1="x2")) == op(a, b)
+        assert op(make(twin, e1="x1 x2", e2="x2"), b) == op(a, b)
+        for left, right in ((a, make(other, e1="x2")), (make(other, e1="x1"), b)):
+            with pytest.raises(ContextMismatch):
+                op(left, right)
+
     def test_empty_context_operations(self):
         ctx = new_context((), ())
         e = empty_soft_set(ctx)

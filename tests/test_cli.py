@@ -245,6 +245,19 @@ class TestUsageErrors:
         assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("module", ["softsets", "softsets.cli"])
+def test_module_entry_points_report_errors(houses_file, module):
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "eval", houses_file, "F ? G"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 1:3: illegal character '?'\n"
+
+
 def test_module_entry_point(houses_file):
     proc = subprocess.run(
         [sys.executable, "-m", "softsets", "eval", houses_file, "F & G"],
@@ -253,6 +266,15 @@ def test_module_entry_point(houses_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == RENDERED_INTERSECTION
+
+
+def _child_env() -> dict:
+    """The environment of a child process that imports the same softsets
+    the suite is testing."""
+    src = str(Path(softsets.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -279,12 +301,8 @@ def _run_console_script(*args: str) -> subprocess.CompletedProcess:
     entry = _declared_console_script("softsets")
     module, attr = (part.strip() for part in entry.split(":"))
     code = CONSOLE_WRAPPER.format(module=module, attr=attr)
-    # The child imports the same softsets the suite is testing.
-    src = str(Path(softsets.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=_child_env()
     )
 
 

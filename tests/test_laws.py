@@ -2,6 +2,7 @@
 generation, exhaustive and randomized verification, shrinking."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -42,7 +43,7 @@ from softsets.laws import (
 )
 from softsets.model import SoftSet, new_context, soft_set
 
-from .conftest import make
+from .conftest import frame, make
 from .mutants import BROKEN_LAWS
 
 
@@ -314,7 +315,7 @@ class TestCheckExhaustive:
             return None if args[0].is_empty() else "F is not empty"
 
         law = Law("empty", 1, "F is empty", check, ("F",))
-        ctx = _frame(2, 1)
+        ctx = frame(2, 1)
         if mode == "exhaustive":
             report = check_exhaustive(law, ctx)
         else:
@@ -344,12 +345,6 @@ TEXT_LAWS = (
 FRAMES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3)]
 
 
-def _frame(n_objects, n_params):
-    return new_context(
-        tuple(f"x{i}" for i in range(1, n_objects + 1)),
-        tuple(f"e{i}" for i in range(1, n_params + 1)),
-    )
-
 
 def _first_failure_by_scan(law, ctx):
     sets = list(enumerate_soft_sets(ctx))
@@ -363,7 +358,7 @@ class TestSlicedChecking:
     @pytest.mark.parametrize("law", TEXT_LAWS, ids=lambda law: law.id)
     def test_agrees_with_a_scan_of_every_tuple(self, law):
         for n_objects, n_params in FRAMES:
-            ctx = _frame(n_objects, n_params)
+            ctx = frame(n_objects, n_params)
             try:
                 check_cap(law, ctx)
             except EnumerationTooLarge:
@@ -429,7 +424,7 @@ def test_check_agrees_with_a_reference_evaluation(law):
     for n_objects, n_params in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         if (n_objects, n_params) == (2, 2) and law.arity > 2:
             continue
-        ctx = _frame(n_objects, n_params)
+        ctx = frame(n_objects, n_params)
         for args in itertools.product(enumerate_soft_sets(ctx), repeat=law.arity):
             holds = _reference_holds(formula, dict(zip(law.arg_names, args)), ctx)
             assert (law.check(ctx, args) is None) == holds, (ctx, args)
@@ -473,7 +468,7 @@ class TestChecksGoThroughTheAlgebra:
         monkeypatch.setattr(
             algebra, "difference", lambda s, t: SoftSet(s.context, s.bits ^ (s.bits & t.bits & 1))
         )
-        ctx = _frame(1, 1)
+        ctx = frame(1, 1)
         law = lookup("difference-as-intersection")
         one = SoftSet(ctx, 1)
         for report in (check_exhaustive(law, ctx), check_random(law, ctx, 100, 0)):
@@ -549,7 +544,7 @@ class TestSlicedRandomChecking:
     def test_agrees_with_the_per_tuple_loop(self, law):
         scalar = _per_tuple(law)
         for n_objects, n_params in [(1, 1), (3, 2), (3, 3), (6, 6)]:
-            ctx = _frame(n_objects, n_params)
+            ctx = frame(n_objects, n_params)
             for seed in (0, 1, 7):
                 report = check_random(law, ctx, 40, seed)
                 assert report == check_random(scalar, ctx, 40, seed), (ctx, seed)
@@ -559,7 +554,7 @@ class TestSlicedRandomChecking:
         # 108 plane bits make chunks of 12, 6, 4 and 3 trials at 3 x 3 for
         # arities 1 to 4; trial counts fall on both sides of a boundary
         monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)
-        ctx = _frame(3, 3)
+        ctx = frame(3, 3)
         per_chunk = 108 // (9 * law.arity)
         scalar = _per_tuple(law)
         for trials in (per_chunk - 1, per_chunk, per_chunk + 1, 10 * per_chunk + 1):
@@ -570,9 +565,9 @@ class TestSlicedRandomChecking:
     def test_failures_past_the_first_chunk_are_found(self, monkeypatch):
         monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)
         law = BROKEN_LAWS[-1]  # difference monotone: the hypothesis is rare
-        report = check_random(law, _frame(3, 3), 1000, 1)
+        report = check_random(law, frame(3, 3), 1000, 1)
         assert report.cases > 3  # 3 trials per chunk at arity 4
-        assert report == check_random(_per_tuple(law), _frame(3, 3), 1000, 1)
+        assert report == check_random(_per_tuple(law), frame(3, 3), 1000, 1)
 
     def test_density_extremes_reach_the_check(self, ctx33):
         # every tuple empty: F - G = G - F holds; every tuple universal too
@@ -586,7 +581,7 @@ class TestSlicedRandomChecking:
         # one chunk of 20000 trials at 40 x 40 would hold 1600 planes of
         # 2.5 KB, several times over; the plane-bit cap keeps 1,310 trials
         # (2**21 // 1600) per chunk
-        ctx = _frame(40, 40)
+        ctx = frame(40, 40)
         law = lookup("involution")
         if not sliced:
             law = _per_tuple(law)
@@ -657,6 +652,56 @@ class TestShrink:
         args = (g, f)  # F - G empty, G - F = {e1: x1}
         assert broken.check(ctx, args) is not None
         assert shrink(broken, ctx, args) == (ctx, args)
+
+
+class TestViolates:
+    def test_agrees_with_check(self, ctx33):
+        rng = random.Random(11)
+        formula_laws = law_catalog() + tuple(
+            law for law in BROKEN_LAWS if isinstance(law.check, FormulaCheck)
+        )
+        for law in formula_laws:
+            for _ in range(40):
+                args = tuple(_random_soft_set(ctx33, rng, 0.6, 0.5) for _ in range(law.arity))
+                assert law.check.violates(ctx33, args) == (law.check(ctx33, args) is not None)
+
+    def test_rejects_an_argument_over_anotherframe(self, ctx22, ctx33):
+        law = lookup("idempotent-1")
+        with pytest.raises(ContextMismatch):
+            law.check.violates(ctx22, (make(ctx33, e1="x1"),))
+
+    def test_shrink_asks_formula_checks_only_for_a_verdict(self, ctx33, monkeypatch):
+        broken = BROKEN_LAWS[0]  # difference commutes
+        args = (make(ctx33, e1="x1 x2", e2="x3", e3="x1"), make(ctx33, e1="x2", e3="x1 x3"))
+        expected = shrink(broken, ctx33, args)
+        assert expected[0] != ctx33  # the frame shrank
+        monkeypatch.setattr(FormulaCheck, "__call__", lambda *a: pytest.fail("detail formatted"))
+        assert shrink(broken, ctx33, args) == expected
+
+
+# The rendered counterexample of every mutant, pinned from the dataclass
+# version of SoftSet: faster values must not change a report by a byte.
+PINNED_COUNTEREXAMPLES = json.loads(
+    (Path(__file__).parent / "mutant_counterexamples.json").read_text(encoding="utf-8")
+)
+
+
+def _report_text(report) -> str:
+    head = f"{report.mode}, {report.cases} cases"
+    cex = report.counterexample
+    if cex is None:
+        return head + ", PASS\n"
+    return f"{head}, FAIL\nviolation: {cex.detail}\n{cex.rendered}"
+
+
+
+@pytest.mark.parametrize("law", BROKEN_LAWS, ids=lambda law: law.id)
+def test_mutant_reports_match_the_pinned_text(law):
+    pinned = PINNED_COUNTEREXAMPLES[law.id]
+    assert _report_text(check_exhaustive(law, frame(2, 2))) == pinned["exhaustive 2x2"]
+    for seed in range(1, 6):
+        report = check_random(law, frame(6, 6), 50, seed)
+        assert _report_text(report) == pinned[f"random 6x6 seed {seed}"], seed
 
 
 class TestCounterexampleReplay:

@@ -1,8 +1,13 @@
 """Core value types: contexts, soft sets, constructors, accessors."""
 
+import copy
 import itertools
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softsets.errors import (
     BadIdentifier,
@@ -27,7 +32,7 @@ from softsets.model import (
     universal_soft_set,
 )
 
-from .conftest import make, random_sets
+from .conftest import frame, make, random_sets
 
 
 class TestContext:
@@ -128,10 +133,56 @@ class TestConstruction:
 
     def test_bits_range_checked(self, ctx22):
         assert SoftSet(ctx22, ctx22.full_bits) == universal_soft_set(ctx22)
-        with pytest.raises(ValueError):
+        message = "bits out of range for a context of 2 objects x 2 parameters"
+        with pytest.raises(ValueError) as exc_info:
             SoftSet(ctx22, ctx22.full_bits + 1)
-        with pytest.raises(ValueError):
+        assert str(exc_info.value) == message
+        with pytest.raises(ValueError) as exc_info:
             SoftSet(ctx22, -1)
+        assert str(exc_info.value) == message
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("name", ["bits", "context", "extra"])
+    def test_attributes_cannot_be_assigned_or_deleted(self, ctx22, name):
+        s = make(ctx22, e1="x1")
+        with pytest.raises(FrozenInstanceError):
+            setattr(s, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(s, name)
+        assert s.bits == 0b01_00 and s.context is ctx22
+
+    def test_instances_have_no_dict(self, ctx22):
+        assert not hasattr(make(ctx22, e1="x1"), "__dict__")
+
+    def test_equal_contexts_give_equal_soft_sets(self):
+        ctx, twin = new_context(("x1", "x2"), ("e1",)), new_context(("x1", "x2"), ("e1",))
+        assert ctx is not twin
+        assert SoftSet(ctx, 0b10) == SoftSet(twin, 0b10)
+        assert hash(SoftSet(ctx, 0b10)) == hash(SoftSet(twin, 0b10))
+        assert SoftSet(ctx, 0b10) != SoftSet(twin, 0b01)
+        assert SoftSet(ctx, 0b10) != SoftSet(new_context(("x1", "x2"), ("e2",)), 0b10)
+
+    def test_never_equal_to_other_types(self, ctx22):
+        s = make(ctx22, e1="x1")
+        for other in ((ctx22, s.bits), (s.context, s.bits), s.bits, 0):
+            assert s != other
+            assert other != s
+            assert not s == other
+        assert s.__eq__((ctx22, s.bits)) is NotImplemented
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickle_and_copy_round_trip(self, ctx33, round_trip):
+        s = make(ctx33, e1="x1 x3", e3="x2")
+        t = round_trip(s)
+        assert type(t) is SoftSet
+        assert t == s and hash(t) == hash(s)
+        assert t.context == ctx33 and t.bits == s.bits
+        assert repr(t) == repr(s)
 
 
 class TestPackedLayout:
@@ -200,3 +251,55 @@ def test_operator_sugar(ctx22):
     assert ~s == algebra.complement(s)
     assert (s <= t) == algebra.subset(s, t)
     assert (s <= s | t) is True
+
+
+# Reference accessors: the formulas of the dataclass version of SoftSet,
+# which unpacked every parameter and tested every object of each mask.
+
+
+def _ref_masks(s):
+    width = len(s.context.objects)
+    full = (1 << width) - 1
+    return tuple(s.bits >> width * i & full for i in reversed(range(len(s.context.parameters))))
+
+
+def _ref_objects(ctx, mask):
+    return frozenset(name for i, name in enumerate(ctx.objects) if mask >> i & 1)
+
+
+def _ref_assignment(s):
+    ctx = s.context
+    return {name: _ref_objects(ctx, m) for name, m in zip(ctx.parameters, _ref_masks(s)) if m}
+
+
+def _ref_repr(s):
+    ctx = s.context
+    parts = []
+    for name, m in zip(ctx.parameters, _ref_masks(s)):
+        if m:
+            objs = " ".join(o for i, o in enumerate(ctx.objects) if m >> i & 1)
+            parts.append(f"{name}: {objs}")
+    return "SoftSet({" + "; ".join(parts) + "})"
+
+
+
+FRAMES = [frame(0, 0), frame(3, 0), frame(1, 1), frame(6, 6), frame(100, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FRAMES).flatmap(
+        lambda ctx: st.builds(SoftSet, st.just(ctx), st.integers(0, ctx.full_bits))
+    )
+)
+def test_accessors_match_the_reference_formulas(s):
+    ctx = s.context
+    assert s.masks == _ref_masks(s)
+    assert s.assignment == _ref_assignment(s)
+    assert list(s.assignment) == list(_ref_assignment(s))
+    assert repr(s) == _ref_repr(s)
+    assert s.domain() == frozenset(_ref_assignment(s))
+    for name, m in zip(ctx.parameters, _ref_masks(s)):
+        assert s.image(name) == (_ref_objects(ctx, m) if m else None)
+    for m in _ref_masks(s):
+        assert ctx.objects_of_mask(m) == _ref_objects(ctx, m)
