@@ -12,11 +12,7 @@ from .algebra import complement, difference, equals, intersection, subset, union
 from .model import (
     Context,
     SoftSet,
-    domain,
     empty_soft_set,
-    image,
-    is_empty,
-    is_universal,
     new_context,
     soft_set,
     strict_soft_set,
@@ -39,10 +35,6 @@ __all__ = [
     "strict_soft_set",
     "empty_soft_set",
     "universal_soft_set",
-    "domain",
-    "image",
-    "is_empty",
-    "is_universal",
     "intersection",
     "union",
     "complement",

@@ -603,7 +603,8 @@ def check_exhaustive(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> CheckRep
         )
         detail = law.check(ctx, args)
         return _report_violation(law, "exhaustive", index + 1, ctx, args, None, detail)
-    all_sets = list(enumerate_soft_sets(ctx, cap=cap))
+    # An arity-0 law has one case, the empty tuple, whatever the frame.
+    all_sets = list(enumerate_soft_sets(ctx, cap=cap)) if law.arity else []
     for case, args in enumerate(itertools.product(all_sets, repeat=law.arity), 1):
         detail = law.check(ctx, args)
         if detail is not None:

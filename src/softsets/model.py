@@ -14,6 +14,12 @@ algebra is then a single integer operation on the packed bits, and
 counting the integers 0, 1, ... enumerates soft sets in the order of the
 per-parameter mask tuples (last parameter fastest).  Rendering and
 shrinking read the per-parameter masks, unpacked on demand.
+
+A context keeps one lookup map per axis for this layout: ``object_bit``
+(each object's bit in a mask) and ``parameter_offset`` (each
+parameter's offset in the packed integer).  :func:`soft_set`,
+:func:`strict_soft_set` and the workspace loader build a soft set by
+OR-ing each image's mask into one integer at its parameter's offset.
 """
 
 from __future__ import annotations
@@ -40,10 +46,6 @@ __all__ = [
     "strict_soft_set",
     "empty_soft_set",
     "universal_soft_set",
-    "domain",
-    "image",
-    "is_empty",
-    "is_universal",
 ]
 
 
@@ -98,14 +100,6 @@ class Context:
         width = len(self.objects)
         object.__setattr__(self, "full_mask", (1 << width) - 1)
         object.__setattr__(self, "full_bits", (1 << width * len(self.parameters)) - 1)
-
-    @cached_property
-    def object_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.objects)}
-
-    @cached_property
-    def parameter_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.parameters)}
 
     @cached_property
     def object_bit(self) -> dict[str, int]:
@@ -296,17 +290,19 @@ class SoftSet:
         return "SoftSet({" + "; ".join(parts) + "})"
 
 
-def _pairs_to_masks(
+def _pack_pairs(
     ctx: Context,
     pairs: Iterable[tuple[str, Iterable[str]]],
     *,
     strict: bool,
-) -> tuple[int, ...]:
-    masks = [0] * len(ctx.parameters)
+) -> SoftSet:
+    """OR each pair's image mask into one integer at its parameter's
+    offset, as the workspace loader does."""
+    bits = 0
     seen: set[str] = set()
     for parameter, objs in pairs:
         try:
-            i = ctx.parameter_index[parameter]
+            offset = ctx.parameter_offset[parameter]
         except KeyError:
             raise UnknownParameter(f"unknown parameter {parameter!r}") from None
         if parameter in seen:
@@ -315,8 +311,8 @@ def _pairs_to_masks(
         m = ctx.object_mask(objs)
         if m == 0 and strict:
             raise EmptyImage(f"empty image for parameter {parameter!r}")
-        masks[i] = m  # empty images fall through as 0 = undefined
-    return tuple(masks)
+        bits |= m << offset  # an empty image adds nothing: undefined
+    return SoftSet(ctx, bits)
 
 
 def soft_set(ctx: Context, pairs: Iterable[tuple[str, Iterable[str]]]) -> SoftSet:
@@ -326,12 +322,12 @@ def soft_set(ctx: Context, pairs: Iterable[tuple[str, Iterable[str]]]) -> SoftSe
     functions from the parameter space to nonempty object subsets: a
     parameter mapped to nothing is the same as an undefined parameter.
     """
-    return SoftSet.from_masks(ctx, _pairs_to_masks(ctx, pairs, strict=False))
+    return _pack_pairs(ctx, pairs, strict=False)
 
 
 def strict_soft_set(ctx: Context, pairs: Iterable[tuple[str, Iterable[str]]]) -> SoftSet:
     """Like :func:`soft_set` but an empty image raises EmptyImage."""
-    return SoftSet.from_masks(ctx, _pairs_to_masks(ctx, pairs, strict=True))
+    return _pack_pairs(ctx, pairs, strict=True)
 
 
 def empty_soft_set(ctx: Context) -> SoftSet:
@@ -344,21 +340,3 @@ def universal_soft_set(ctx: Context) -> SoftSet:
     whole universe."""
     return SoftSet(ctx, ctx.full_bits)
 
-
-# Free-function accessors mirroring the methods, for call sites that
-# prefer the functional style.
-
-def domain(s: SoftSet) -> frozenset[str]:
-    return s.domain()
-
-
-def image(s: SoftSet, parameter: str) -> frozenset[str] | None:
-    return s.image(parameter)
-
-
-def is_empty(s: SoftSet) -> bool:
-    return s.is_empty()
-
-
-def is_universal(s: SoftSet) -> bool:
-    return s.is_universal()

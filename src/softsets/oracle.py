@@ -48,13 +48,14 @@ def from_soft_set(s: SoftSet) -> MatrixSoftSet:
     n_params, n_objs = len(ctx.parameters), len(ctx.objects)
     defined = np.zeros(n_params, dtype=bool)
     grid = np.zeros((n_params, n_objs), dtype=bool)
+    column = {name: j for j, name in enumerate(ctx.objects)}
     for i, parameter in enumerate(ctx.parameters):
         img = s.image(parameter)
         if img is None:
             continue
         defined[i] = True
         for obj in img:
-            grid[i, ctx.object_index[obj]] = True
+            grid[i, column[obj]] = True
     return MatrixSoftSet(ctx, defined, grid)
 
 

@@ -263,6 +263,7 @@ def test_module_entry_point(houses_file):
         [sys.executable, "-m", "softsets", "eval", houses_file, "F & G"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == RENDERED_INTERSECTION

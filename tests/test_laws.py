@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import softsets
 from softsets import algebra, expr, laws
 from softsets.errors import ContextMismatch, EnumerationTooLarge
+from softsets.houses import bundled_workspace_text
 from softsets.laws import (
     CHUNK_BITS,
     DEFAULT_CAP,
@@ -325,6 +326,17 @@ class TestCheckExhaustive:
         assert len(report.counterexample.context.objects) == 1
         assert report.counterexample.detail == "F is not empty"
 
+    @pytest.mark.parametrize("text", ["EMPTY <= UNIVERSAL", "UNIVERSAL <= EMPTY"])
+    def test_an_arity_0_law_is_one_case_on_any_frame(self, text):
+        # the same law as a plain Python check takes the per-tuple path,
+        # which must not list the 2**25 soft sets of the frame
+        law = formula_law("t", "", text)
+        plain = replace(law, check=lambda ctx, args: law.check(ctx, args))
+        ctx = frame(5, 5)
+        report = check_exhaustive(law, ctx)
+        assert report.cases == 1
+        assert check_exhaustive(plain, ctx) == report
+
     def test_finds_and_shrinks_a_violation(self, ctx22):
         broken = BROKEN_LAWS[0]  # difference commutes
         report = check_exhaustive(broken, ctx22)
@@ -385,14 +397,29 @@ class TestSlicedChecking:
         assert check_exhaustive(law, ctx22).cases == 4354
         assert check_random(law, ctx33, trials=1000, seed=0).cases == 549
 
-    def test_exhaustive_checking_imports_no_numpy(self):
+    def test_exhaustive_checking_imports_no_numpy(self, tmp_path):
+        # numpy is a test-only dependency: after an exhaustive check and
+        # after each of these commands, run in one process, it is still
+        # not imported
+        houses = tmp_path / "houses.sset"
+        houses.write_text(bundled_workspace_text(), encoding="utf-8")
+        commands = [
+            ["eval", str(houses), "(F & G)^c"],
+            ["show", str(houses)],
+            ["check-laws"],
+            ["paper-example"],
+        ]
         code = (
-            "import sys, softsets.cli\n"
+            "import contextlib, io, sys, softsets.cli\n"
             "from softsets import laws\n"
             "from softsets.model import new_context\n"
             "ctx = new_context(('x1', 'x2'), ('e1', 'e2'))\n"
             "assert laws.check_exhaustive(laws.lookup('monotonicity-cap'), ctx).passed\n"
-            "print('numpy' in sys.modules)\n"
+            "print('check_exhaustive', 'numpy' in sys.modules)\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert softsets.cli.main(argv) == 0, argv\n"
+            "    print(argv[0], 'numpy' in sys.modules)\n"
         )
         src = str(Path(softsets.__file__).resolve().parent.parent)
         env = dict(os.environ)
@@ -401,7 +428,8 @@ class TestSlicedChecking:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        steps = ["check_exhaustive"] + [argv[0] for argv in commands]
+        assert proc.stdout.splitlines() == [f"{step} False" for step in steps]
 
 
 def _reference_holds(f, env, ctx):

@@ -21,11 +21,7 @@ from softsets.errors import (
 from softsets.laws import enumerate_soft_sets
 from softsets.model import (
     SoftSet,
-    domain,
     empty_soft_set,
-    image,
-    is_empty,
-    is_universal,
     new_context,
     soft_set,
     strict_soft_set,
@@ -35,13 +31,46 @@ from softsets.model import (
 from .conftest import frame, make, random_sets
 
 
+def _two_step_packer(ctx, pairs, *, strict):
+    """Reference for ``soft_set`` and ``strict_soft_set``: one mask per
+    parameter in a list, then packed by ``SoftSet.from_masks``."""
+    parameter_index = {name: i for i, name in enumerate(ctx.parameters)}
+    object_index = {name: k for k, name in enumerate(ctx.objects)}
+    masks = [0] * len(ctx.parameters)
+    seen = set()
+    for parameter, objs in pairs:
+        if parameter not in parameter_index:
+            raise UnknownParameter(f"unknown parameter {parameter!r}")
+        if parameter in seen:
+            raise DuplicateParameter(f"parameter {parameter!r} listed twice")
+        seen.add(parameter)
+        m = 0
+        for name in objs:
+            if name not in object_index:
+                raise UnknownObject(f"unknown object {name!r}")
+            m |= 1 << object_index[name]
+        if m == 0 and strict:
+            raise EmptyImage(f"empty image for parameter {parameter!r}")
+        masks[parameter_index[parameter]] = m
+    return SoftSet.from_masks(ctx, masks)
+
+
+def _outcome(build, ctx, pairs, **kwargs):
+    """The soft set ``build`` returns, or the type and message of what
+    it raises."""
+    try:
+        return build(ctx, pairs, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestContext:
     def test_declaration_order_is_canonical(self):
         ctx = new_context(("b", "a"), ("q", "p"))
         assert ctx.objects == ("b", "a")
         assert ctx.parameters == ("q", "p")
-        assert ctx.object_index == {"b": 0, "a": 1}
-        assert ctx.parameter_index == {"q": 0, "p": 1}
+        assert ctx.object_bit == {"b": 0b01, "a": 0b10}
+        assert ctx.parameter_offset == {"q": 2, "p": 0}
 
     def test_equal_contexts_are_interchangeable(self):
         assert new_context(("a",), ("p",)) == new_context(("a",), ("p",))
@@ -122,6 +151,22 @@ class TestConstruction:
         # duplicates are detected before normalization drops the pair
         with pytest.raises(DuplicateParameter):
             soft_set(ctx22, [("e1", []), ("e1", ["x1"])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_constructors_match_the_two_step_packer(self, data):
+        n_objects = data.draw(st.integers(0, 70), label="n_objects")
+        n_params = data.draw(st.integers(0, 6 if n_objects else 0), label="n_params")
+        ctx = frame(n_objects, n_params)
+        parameter = st.sampled_from(ctx.parameters + ("nope",))
+        obj = st.sampled_from(ctx.objects + ("nope",))
+        pairs = data.draw(
+            st.lists(st.tuples(parameter, st.lists(obj, max_size=8)), max_size=8),
+            label="pairs",
+        )
+        for build, strict in ((soft_set, False), (strict_soft_set, True)):
+            expected = _outcome(_two_step_packer, ctx, pairs, strict=strict)
+            assert _outcome(build, ctx, pairs) == expected
 
     def test_mask_tuple_length_checked(self, ctx22):
         with pytest.raises(ValueError):
@@ -223,13 +268,6 @@ class TestAccessors:
         assert not universal_soft_set(ctx22).is_empty()
         assert empty_soft_set(ctx22).domain() == frozenset()
         assert universal_soft_set(ctx22).domain() == {"e1", "e2"}
-
-    def test_free_functions_mirror_methods(self, ctx22):
-        s = make(ctx22, e1="x1")
-        assert domain(s) == s.domain()
-        assert image(s, "e1") == s.image("e1")
-        assert is_empty(s) == s.is_empty()
-        assert is_universal(s) == s.is_universal()
 
     def test_assignment_iterates_in_context_order(self, ctx33):
         s = soft_set(ctx33, [("e3", ["x1"]), ("e1", ["x2"])])

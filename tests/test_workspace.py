@@ -1,6 +1,8 @@
 """Workspace text format: loader, renderer, round trips."""
 
 import warnings
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,9 @@ from softsets.workspace import (
 
 from .conftest import make
 
+# The copy of the houses workspace that the README's examples run.
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "houses.sset"
+
 HEADER = "universe: h1 h2 h3 h4 h5\nparameters: e1 e2 e3 e4 e5 e6 e7 e8\n"
 
 
@@ -27,6 +32,10 @@ class TestLoad:
         ws = load_workspace(bundled_workspace_text())
         assert ws == houses_workspace()
         assert list(ws.bindings) == ["F", "G"]
+
+    def test_readme_fixture_is_the_bundled_file(self):
+        bundled = resources.files("softsets") / "data" / "houses.sset"
+        assert FIXTURE.read_bytes() == bundled.read_bytes()
 
     def test_object_order_within_an_image_is_irrelevant(self):
         a = load_workspace(HEADER + "softset F:\n  e3: h2 h4\n")
