@@ -21,7 +21,7 @@ tuples at once as soft sets over a minimal frame that holds only
 from __future__ import annotations
 
 from .errors import ContextMismatch
-from .model import SoftSet
+from .model import SoftSet, _set_bits, _set_context
 
 __all__ = [
     "subset",
@@ -59,6 +59,11 @@ def _shared_context(s: SoftSet, t: SoftSet) -> None:
 # * subset        not a & ~b   per-parameter image inclusion; a nonzero
 #                              mask of a forces a nonzero mask of b, so
 #                              domain inclusion comes for free
+#
+# None of them can leave [0, full_bits] when its operands lie in it, so
+# the results skip SoftSet.__init__ and its range check: each is a bare
+# instance whose two slots are set through the slots' own setters.
+_new = object.__new__
 
 
 def subset(s: SoftSet, t: SoftSet) -> bool:
@@ -83,7 +88,10 @@ def intersection(s: SoftSet, t: SoftSet) -> SoftSet:
     ctx = s.context
     if ctx is not t.context:
         _shared_context(s, t)
-    return SoftSet(ctx, s.bits & t.bits)
+    result = _new(SoftSet)
+    _set_context(result, ctx)
+    _set_bits(result, s.bits & t.bits)
+    return result
 
 
 def union(s: SoftSet, t: SoftSet) -> SoftSet:
@@ -92,7 +100,10 @@ def union(s: SoftSet, t: SoftSet) -> SoftSet:
     ctx = s.context
     if ctx is not t.context:
         _shared_context(s, t)
-    return SoftSet(ctx, s.bits | t.bits)
+    result = _new(SoftSet)
+    _set_context(result, ctx)
+    _set_bits(result, s.bits | t.bits)
+    return result
 
 
 def complement(s: SoftSet) -> SoftSet:
@@ -104,7 +115,10 @@ def complement(s: SoftSet) -> SoftSet:
     soft set.
     """
     ctx = s.context
-    return SoftSet(ctx, ctx.full_bits ^ s.bits)
+    result = _new(SoftSet)
+    _set_context(result, ctx)
+    _set_bits(result, ctx.full_bits ^ s.bits)
+    return result
 
 
 def difference(s: SoftSet, t: SoftSet) -> SoftSet:
@@ -114,4 +128,7 @@ def difference(s: SoftSet, t: SoftSet) -> SoftSet:
     ctx = s.context
     if ctx is not t.context:
         _shared_context(s, t)
-    return SoftSet(ctx, s.bits & ~t.bits)
+    result = _new(SoftSet)
+    _set_context(result, ctx)
+    _set_bits(result, s.bits & ~t.bits)
+    return result

@@ -19,8 +19,9 @@ bitwise, so ``softsets.algebra`` itself evaluates all w tuples in one
 call.  Exhaustive checking takes the chunks from the enumeration,
 random checking draws them (``_random_chunk``).  A law written as text
 evaluates them bit-sliced (``FormulaCheck.failures``); any other check
-gets the same tuples, transposed from the chunks, one at a time.  A
-single tuple is a chunk of width 1 over the tuple's own frame, so
+gets the same tuples one at a time, mapped over the enumeration's
+``itertools.product`` or transposed from the random chunks.  A single
+tuple is a chunk of width 1 over the tuple's own frame, so
 shrinking and replay run the same steps as the checkers do.
 """
 
@@ -362,9 +363,11 @@ class FormulaCheck:
         index = {name: i for i, name in enumerate(arg_names)}
         names = set()
         # A run's values are the arguments, then one value per step.  A
-        # step is (kind, a, b): the name of a node's class or a formula's
-        # operator, and the values of its operands.
-        self._steps: list[tuple[str, int, int | None]] = []
+        # step is (kind, a, b, skipped): the name of a node's class or a
+        # formula's operator, the values of its operands, and the values
+        # of the next steps when its own value is 0: a 0 for each step up
+        # to the last ``and`` of its conjunction, none outside one.
+        steps: list[tuple[str, int, int | None]] = []
 
         def step(node, a=None, b=None) -> int | None:
             """The node's value: an argument's, or that of a new step."""
@@ -372,13 +375,22 @@ class FormulaCheck:
                 names.add(node.identifier)
                 return index.get(node.identifier)
             kind = node.op if isinstance(node, expr.Formula) else type(node).__name__
-            self._steps.append((kind, a, b))
-            return len(arg_names) + len(self._steps) - 1
+            steps.append((kind, a, b))
+            return len(arg_names) + len(steps) - 1
 
         expr.fold(self.formula, step)
         if sorted(names) != sorted(arg_names):  # also refuses a repeated argument
             raise ValueError(f"law {text!r} names {sorted(names)}, not the arguments {list(arg_names)}")
-        kind, hypothesis, _ = self._steps[-1]
+        # An operand of an ``and`` (a relation or another ``and``, never an
+        # argument) skips to that ``and``, and on as far as the ``and`` does.
+        skips = [0] * len(steps)
+        for i in reversed(range(len(steps))):
+            kind, a, b = steps[i]
+            if kind == "and":
+                for operand in (a - len(arg_names), b - len(arg_names)):
+                    skips[operand] = i - operand + skips[i]
+        self._steps = [step + ((0,) * skip,) for step, skip in zip(steps, skips)]
+        kind, hypothesis, _, _ = self._steps[-1]
         # The first value of the conclusion, where an implication stops
         # when no tuple meets its hypothesis.
         self._conclusion = hypothesis + 1 if kind == "=>" else len(arg_names)
@@ -388,12 +400,13 @@ class FormulaCheck:
         failing, values = self._run(ctx, args, len(ctx.objects) * len(ctx.parameters), 1)
         if not failing:
             return None
-        kind, left, right = self._steps[-1]
+        kind, left, right, _ = self._steps[-1]
         if kind == "<=>":
             return _FAILURES[kind].format(bool(values[left]), bool(values[right]))
-        # The first relation of the conclusion that fails.
+        # The first relation of the conclusion that fails; the steps a
+        # false conjunct skipped all come after it.
         start = self._conclusion
-        kind, a, b = next(
+        kind, a, b, _ = next(
             step for step, value in zip(self._steps[start - len(args) :], values[start:])
             if step[0] in ("=", "<=") and not value
         )
@@ -413,10 +426,13 @@ class FormulaCheck:
         ``width`` tuples of ``n``-bit soft sets.  Returns the plane of the
         tuples that violate the law, bit t for tuple t, and the values of
         the run; an implication stops after its hypothesis when no tuple
-        meets it.  The algebra is looked up at each call."""
+        meets it, and a conjunct that no tuple meets skips the rest of its
+        conjunction, whose skipped values read 0.  The algebra is looked
+        up at each call."""
         ones, conclusion = _ones(width), self._conclusion
         values = list(args)
-        for kind, a, b in self._steps:
+        steps = iter(self._steps)
+        for kind, a, b, skipped in steps:
             if kind == "Intersect":
                 value = algebra.intersection(values[a], values[b])
             elif kind == "Union":
@@ -444,6 +460,10 @@ class FormulaCheck:
             else:  # "Universal"
                 value = universal_soft_set(frame)
             values.append(value)
+            if skipped and not value:
+                values += skipped
+                for _ in skipped:  # leave the skipped steps unrun
+                    next(steps)
             if len(values) == conclusion and not value:
                 return 0, values
         return ones ^ values[-1], values
@@ -587,29 +607,32 @@ def check_exhaustive(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> CheckRep
     """Evaluate the law on every argument tuple over ctx.
 
     A law written as text is checked bit-sliced; any other check is
-    called once per tuple.  Both count cases the same way: a failure at
-    tuple index t is reported as case t + 1.
+    mapped over the tuples in ``itertools.product`` order.  Both count
+    cases the same way: a failure at tuple index t is reported as case
+    t + 1, its arguments decoded from t.
     """
     check_cap(law, ctx, cap)
+    index = detail = None
     if isinstance(law.check, FormulaCheck):
         index = law.check.first_failure(ctx)
-        n_bits = len(ctx.objects) * len(ctx.parameters)
-        if index is None:
-            return CheckReport(law.id, "exhaustive", 1 << n_bits * law.arity, None, None)
-        mask = (1 << n_bits) - 1
-        args = tuple(
-            SoftSet(ctx, index >> n_bits * (law.arity - 1 - i) & mask)
-            for i in range(law.arity)
-        )
+    else:
+        # An arity-0 law has one case, the empty tuple, whatever the frame.
+        all_sets = list(enumerate_soft_sets(ctx, cap=cap)) if law.arity else []
+        tuples = itertools.product(all_sets, repeat=law.arity)
+        for t, detail in enumerate(map(law.check, itertools.repeat(ctx), tuples)):
+            if detail is not None:
+                index = t
+                break
+    n_bits = len(ctx.objects) * len(ctx.parameters)
+    if index is None:
+        return CheckReport(law.id, "exhaustive", 1 << n_bits * law.arity, None, None)
+    mask = (1 << n_bits) - 1
+    args = tuple(
+        SoftSet(ctx, index >> n_bits * (law.arity - 1 - i) & mask) for i in range(law.arity)
+    )
+    if detail is None:  # the bit-sliced search formats no detail
         detail = law.check(ctx, args)
-        return _report_violation(law, "exhaustive", index + 1, ctx, args, None, detail)
-    # An arity-0 law has one case, the empty tuple, whatever the frame.
-    all_sets = list(enumerate_soft_sets(ctx, cap=cap)) if law.arity else []
-    for case, args in enumerate(itertools.product(all_sets, repeat=law.arity), 1):
-        detail = law.check(ctx, args)
-        if detail is not None:
-            return _report_violation(law, "exhaustive", case, ctx, args, None, detail)
-    return CheckReport(law.id, "exhaustive", len(all_sets) ** law.arity, None, None)
+    return _report_violation(law, "exhaustive", index + 1, ctx, args, None, detail)
 
 
 def check_random(
@@ -686,29 +709,34 @@ def _reductions(
 ) -> Iterator[tuple[Context, tuple[SoftSet, ...]]]:
     """Candidate reductions in a fixed order: parameter-level reductions
     first, then object-level ones, as ties go to earlier arguments and
-    earlier context positions."""
+    earlier context positions.  All but dropping an object work on the
+    packed bits, where parameter j's mask is the block at ``offsets[j]``."""
     n_params = len(ctx.parameters)
     n_objects = len(ctx.objects)
-    arg_masks = [a.masks for a in args]
+    full = ctx.full_mask
+    offsets = [n_objects * (n_params - 1 - j) for j in range(n_params)]
 
-    # Drop a parameter from the frame entirely.
-    for j in range(n_params):
+    # Drop a parameter from the frame entirely: splice its block out.
+    for j, offset in enumerate(offsets):
         smaller = _drop_parameter(ctx, j)
+        low = (1 << offset) - 1
         yield smaller, tuple(
-            SoftSet.from_masks(smaller, masks[:j] + masks[j + 1 :]) for masks in arg_masks
+            SoftSet(smaller, a.bits >> offset + n_objects << offset | a.bits & low)
+            for a in args
         )
 
-    # Make one parameter undefined in one argument.
-    for i, masks in enumerate(arg_masks):
-        for j in range(n_params):
-            if masks[j]:
-                reduced = masks[:j] + (0,) + masks[j + 1 :]
-                yield ctx, args[:i] + (SoftSet.from_masks(ctx, reduced),) + args[i + 1 :]
+    # Make one parameter undefined in one argument: clear its block.
+    for i, a in enumerate(args):
+        for offset in offsets:
+            block = full << offset
+            if a.bits & block:
+                yield ctx, args[:i] + (SoftSet(ctx, a.bits & ~block),) + args[i + 1 :]
 
     # Drop an object from the universe (images losing their last member
     # become undefined; an emptied universe is only legal without
     # parameters).
     if n_objects > 1 or n_params == 0:
+        arg_masks = [a.masks for a in args]
         for k in range(n_objects):
             smaller = _drop_object(ctx, k)
             yield smaller, tuple(
@@ -716,14 +744,16 @@ def _reductions(
                 for masks in arg_masks
             )
 
-    # Remove one object from one image, keeping the image nonempty.
-    for i, masks in enumerate(arg_masks):
-        for j in range(n_params):
-            m = masks[j]
-            for k in range(n_objects):
-                if m >> k & 1 and m != 1 << k:
-                    reduced = masks[:j] + (m & ~(1 << k),) + masks[j + 1 :]
-                    yield ctx, args[:i] + (SoftSet.from_masks(ctx, reduced),) + args[i + 1 :]
+    # Remove one object from one image, keeping the image nonempty: clear
+    # one bit of a block with at least two set.
+    for i, a in enumerate(args):
+        for offset in offsets:
+            m = a.bits >> offset & full
+            if m & m - 1:
+                for k in range(n_objects):
+                    if m >> k & 1:
+                        reduced = SoftSet(ctx, a.bits ^ 1 << offset + k)
+                        yield ctx, args[:i] + (reduced,) + args[i + 1 :]
 
 
 def shrink(

@@ -12,8 +12,9 @@ object of the universe, and mask 0 encodes "undefined", unambiguous
 precisely because images are never empty.  Each operation of the
 algebra is then a single integer operation on the packed bits, and
 counting the integers 0, 1, ... enumerates soft sets in the order of the
-per-parameter mask tuples (last parameter fastest).  Rendering and
-shrinking read the per-parameter masks, unpacked on demand.
+per-parameter mask tuples (last parameter fastest).  Rendering reads
+the per-parameter masks, unpacked on demand; shrinking works on the
+packed bits, and unpacks masks only to drop an object.
 
 A context keeps one lookup map per axis for this layout: ``object_bit``
 (each object's bit in a mask) and ``parameter_offset`` (each
@@ -138,10 +139,6 @@ def new_context(objects: Sequence[str], parameters: Sequence[str]) -> Context:
     return Context(tuple(objects), tuple(parameters))
 
 
-# Sets a slot of a SoftSet, whose own __setattr__ refuses every write.
-_set_slot = object.__setattr__
-
-
 class SoftSet:
     """An immutable soft set over ``context``.
 
@@ -150,8 +147,9 @@ class SoftSet:
     the constructors (:func:`soft_set` and friends, or
     :meth:`from_masks`) rather than packing bits by hand.
 
-    A slotted class: its two attributes are set once, in ``__init__``,
-    and any later assignment or deletion raises ``FrozenInstanceError``.
+    A slotted class: its two attributes are set once, in ``__init__``
+    (or by ``softsets.algebra``, through the same slot setters), and any
+    later assignment or deletion raises ``FrozenInstanceError``.
     ``masks`` and ``assignment`` unpack ``bits`` again on each access.
     Soft sets are equal, and hash equal, when their bits are equal and
     their contexts are equal.
@@ -169,8 +167,8 @@ class SoftSet:
                 f"bits out of range for a context of "
                 f"{len(context.objects)} objects x {len(context.parameters)} parameters"
             )
-        _set_slot(self, "context", context)
-        _set_slot(self, "bits", bits)
+        _set_context(self, context)
+        _set_bits(self, bits)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -288,6 +286,13 @@ class SoftSet:
             if m
         ]
         return "SoftSet({" + "; ".join(parts) + "})"
+
+
+# The slots' own setters, bound once: SoftSet.__setattr__ refuses every
+# write.  ``softsets.algebra`` builds its results with them, skipping
+# ``__init__`` and its range check.
+_set_context = SoftSet.context.__set__
+_set_bits = SoftSet.bits.__set__
 
 
 def _pack_pairs(

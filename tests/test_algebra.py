@@ -6,10 +6,15 @@ directly on images (independent of both the packed encoding and the
 matrix cross-check module).
 """
 
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softsets
 from softsets import algebra
@@ -24,7 +29,7 @@ from softsets.houses import (
     houses_f,
     houses_g,
 )
-from softsets.laws import enumerate_soft_sets
+from softsets.laws import _ChunkFrame, enumerate_soft_sets
 from softsets.model import (
     SoftSet,
     empty_soft_set,
@@ -33,7 +38,7 @@ from softsets.model import (
     universal_soft_set,
 )
 
-from .conftest import all_pairs, make
+from .conftest import all_pairs, frame, make
 
 
 # Image-level recomputations, straight from the definitions.
@@ -300,6 +305,61 @@ def test_operations_match_index_set_arithmetic():
         assert as_index_sets(algebra.difference(a, b)) == [x - y for x, y in zip(sa, sb)]
         assert as_index_sets(algebra.complement(a)) == [universe - x for x in sa]
         assert algebra.subset(a, b) == all(x <= y for x, y in zip(sa, sb))
+
+
+# The results skip SoftSet.__init__: each operation with the bits it
+# must produce from the operands' bits, within full_bits.
+RESULTS = {
+    "intersection": (algebra.intersection, lambda full, a, b: a & b),
+    "union": (algebra.union, lambda full, a, b: a | b),
+    "difference": (algebra.difference, lambda full, a, b: a & ~b),
+    "complement": (lambda s, t: algebra.complement(s), lambda full, a, b: full ^ a),
+}
+
+
+@st.composite
+def frames(draw):
+    """A frame of up to 70 objects, or a chunk frame of up to 64 tuples
+    of soft sets of up to 12 bits, as law checking builds them."""
+    if draw(st.booleans()):
+        return _ChunkFrame((1 << draw(st.integers(0, 12)) * draw(st.integers(1, 64))) - 1)
+    n_objects = draw(st.integers(0, 70))
+    return frame(n_objects, draw(st.integers(0, 3)) if n_objects else 0)
+
+
+def _other_frame(ctx):
+    if isinstance(ctx, _ChunkFrame):
+        return _ChunkFrame(ctx.full_bits << 1 | 1)
+    return frame(len(ctx.objects) + 1, len(ctx.parameters))
+
+
+@pytest.mark.parametrize("name", RESULTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_results_built_without_the_constructor_are_soft_sets(name, data):
+    op, expected_bits = RESULTS[name]
+    ctx = data.draw(frames())
+    a, b = (data.draw(st.integers(0, ctx.full_bits)) for _ in range(2))
+    r = op(SoftSet(ctx, a), SoftSet(ctx, b))
+    expected = SoftSet(ctx, expected_bits(ctx.full_bits, a, b))
+    assert type(r) is SoftSet
+    assert r == expected and r.bits == expected.bits and r.context is ctx
+    for attribute in ("context", "bits"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(r, attribute, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(r, attribute)
+    assert r.bits == expected.bits and r.context is ctx
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert type(twin) is SoftSet and twin == r
+        assert hash(twin) == hash(r)
+    assert hash(r) == hash(expected) == hash((ctx, expected.bits))
+    if name != "complement":
+        other = _other_frame(ctx)
+        with pytest.raises(ContextMismatch):
+            op(SoftSet(ctx, a), SoftSet(other, 0))
+        with pytest.raises(ContextMismatch):
+            op(SoftSet(other, 0), SoftSet(ctx, b))
 
 
 def test_softsets_reports_pure():

@@ -1,6 +1,7 @@
 """The law catalog and its checking machinery: enumeration, random
 generation, exhaustive and randomized verification, shrinking."""
 
+import copy
 import itertools
 import json
 import math
@@ -24,6 +25,7 @@ from softsets.houses import bundled_workspace_text
 from softsets.laws import (
     CHUNK_BITS,
     DEFAULT_CAP,
+    CheckReport,
     FormulaCheck,
     Law,
     check_cap,
@@ -40,6 +42,8 @@ from softsets.laws import (
     _random_chunk,
     _random_soft_set,
     _reductions,
+    _report_violation,
+    _squeeze_bit,
     _transpose,
 )
 from softsets.model import SoftSet, new_context, soft_set
@@ -346,6 +350,57 @@ class TestCheckExhaustive:
         assert broken.check(cex.context, cex.args) is not None
 
 
+def _exhaustive_by_loop(law, ctx):
+    """Reference for the exhaustive driver of a plain-Python check: call
+    it on each tuple in turn and report the first one it flags."""
+    all_sets = list(enumerate_soft_sets(ctx)) if law.arity else []
+    for case, args in enumerate(itertools.product(all_sets, repeat=law.arity), 1):
+        detail = law.check(ctx, args)
+        if detail is not None:
+            return _report_violation(law, "exhaustive", case, ctx, args, None, detail)
+    return CheckReport(law.id, "exhaustive", len(all_sets) ** law.arity, None, None)
+
+
+def _difference_monotone(ctx, args):
+    """The shape of a 4-ary plain-Python law: a hypothesis, then a subset."""
+    f1, g1, f2, g2 = args
+    if not (algebra.subset(f1, g1) and algebra.subset(f2, g2)):
+        return None
+    left, right = algebra.difference(f1, f2), algebra.difference(g1, g2)
+    return None if algebra.subset(left, right) else f"{left!r} is not a subset of {right!r}"
+
+
+PLAIN_LAWS = {
+    "fails-first": Law("first", 2, "never", lambda ctx, args: f"{args[0]!r} given", ("F", "G")),
+    "fails-last": Law(
+        "last", 2, "not both universal",
+        lambda ctx, args: "both universal" if all(a.is_universal() for a in args) else None,
+        ("F", "G"),
+    ),
+    "never-fails": Law("never", 3, "always", lambda ctx, args: None, ("F", "G", "H")),
+    "arity-0-true": Law("true", 0, "true", lambda ctx, args: None, ()),
+    "arity-0-false": Law("false", 0, "false", lambda ctx, args: "false", ()),
+    "4-ary": Law(
+        "monotone-difference", 4, "F1 <= G1 and F2 <= G2 => F1 - F2 <= G1 - G2",
+        _difference_monotone, ("F1", "G1", "F2", "G2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", PLAIN_LAWS.values(), ids=PLAIN_LAWS)
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 0)])
+def test_exhaustive_driver_matches_a_tuple_by_tuple_loop(law, shape):
+    ctx = frame(*shape)
+    report = check_exhaustive(law, ctx)
+    # equal reports: case number, and the counterexample's frame, args,
+    # detail and rendering
+    assert report == _exhaustive_by_loop(law, ctx)
+    if law.arity == 0:
+        assert report.cases == 1
+    if law.id == "last" and shape != (0, 0):
+        assert report.cases == soft_set_count(ctx) ** 2
+
+
 # Every law written as text, plus one whose first failure at 3 x 2 lies
 # past the first chunk: it needs F = UNIVERSAL (soft set 63 of 64), which
 # holds only in the last 2**12 of the 2**18 tuples.
@@ -456,6 +511,45 @@ def test_check_agrees_with_a_reference_evaluation(law):
         for args in itertools.product(enumerate_soft_sets(ctx), repeat=law.arity):
             holds = _reference_holds(formula, dict(zip(law.arg_names, args)), ctx)
             assert (law.check(ctx, args) is None) == holds, (ctx, args)
+
+
+def _without_skipping(check):
+    """A copy of a FormulaCheck whose conjunctions run every step."""
+    reference = copy.copy(check)
+    reference._steps = [(kind, a, b, ()) for kind, a, b, _ in check._steps]
+    return reference
+
+
+@pytest.mark.parametrize("law", TEXT_LAWS, ids=lambda law: law.id)
+def test_short_circuit_changes_no_verdict_or_detail(law):
+    check, reference = law.check, _without_skipping(law.check)
+    for shape in [(2, 1), (1, 2)]:
+        ctx = frame(*shape)
+        for args in itertools.product(enumerate_soft_sets(ctx), repeat=law.arity):
+            assert check(ctx, args) == reference(ctx, args), (ctx, args)
+            assert check.violates(ctx, args) == reference.violates(ctx, args)
+    for shape in FRAMES:
+        ctx = frame(*shape)
+        if len(ctx.objects) * len(ctx.parameters) * law.arity <= 12:
+            assert check.first_failure(ctx) == reference.first_failure(ctx), shape
+
+
+def test_a_false_conjunct_skips_the_rest_of_its_conjunction(monkeypatch):
+    law = formula_law("t", "F G", "F <= G and F & G = F and F | G = G")
+    ctx = frame(1, 1)
+    calls = []
+
+    def counted(op):
+        return lambda s, t: calls.append(op) or op(s, t)
+
+    for name in ("intersection", "union"):
+        monkeypatch.setattr(algebra, name, counted(getattr(algebra, name)))
+    assert law.check(ctx, (SoftSet(ctx, 1), SoftSet(ctx, 0))) == (
+        "SoftSet({e1: x1}) is not a subset of SoftSet({})"
+    )
+    assert calls == []  # both later conjuncts were skipped
+    assert law.check(ctx, (SoftSet(ctx, 0), SoftSet(ctx, 1))) is None
+    assert len(calls) == 2
 
 
 # Operations broken in a bitwise way, so that the bit-sliced and the
@@ -680,6 +774,55 @@ class TestShrink:
         args = (g, f)  # F - G empty, G - F = {e1: x1}
         assert broken.check(ctx, args) is not None
         assert shrink(broken, ctx, args) == (ctx, args)
+
+
+def _reductions_by_masks(ctx, args):
+    """Reference for ``_reductions``: every candidate built from the
+    arguments' mask tuples, in the same order."""
+    n_params, n_objects = len(ctx.parameters), len(ctx.objects)
+    arg_masks = [a.masks for a in args]
+    for j in range(n_params):
+        smaller = new_context(ctx.objects, ctx.parameters[:j] + ctx.parameters[j + 1 :])
+        yield smaller, tuple(
+            SoftSet.from_masks(smaller, masks[:j] + masks[j + 1 :]) for masks in arg_masks
+        )
+    for i, masks in enumerate(arg_masks):
+        for j in range(n_params):
+            if masks[j]:
+                reduced = masks[:j] + (0,) + masks[j + 1 :]
+                yield ctx, args[:i] + (SoftSet.from_masks(ctx, reduced),) + args[i + 1 :]
+    if n_objects > 1 or n_params == 0:
+        for k in range(n_objects):
+            smaller = new_context(ctx.objects[:k] + ctx.objects[k + 1 :], ctx.parameters)
+            yield smaller, tuple(
+                SoftSet.from_masks(smaller, (_squeeze_bit(m, k) for m in masks))
+                for masks in arg_masks
+            )
+    for i, masks in enumerate(arg_masks):
+        for j in range(n_params):
+            m = masks[j]
+            for k in range(n_objects):
+                if m >> k & 1 and m != 1 << k:
+                    reduced = masks[:j] + (m & ~(1 << k),) + masks[j + 1 :]
+                    yield ctx, args[:i] + (SoftSet.from_masks(ctx, reduced),) + args[i + 1 :]
+
+
+# Every frame up to 4 x 4; a frame with parameters needs objects.
+REDUCTION_FRAMES = [(0, 0)] + list(itertools.product(range(1, 5), range(5)))
+
+
+@pytest.mark.parametrize("n_objects, n_params", REDUCTION_FRAMES)
+def test_reductions_on_bits_match_the_masks_based_ones(n_objects, n_params):
+    ctx = frame(n_objects, n_params)
+    rng = random.Random(1000 * n_objects + n_params)
+    for _ in range(25):
+        arity = rng.randint(0, 3)
+        density = rng.choice([0.2, 0.5, 0.9, 1.0])
+        args = tuple(_random_soft_set(ctx, rng, density, density) for _ in range(arity))
+        candidates = list(_reductions(ctx, args))
+        assert candidates == list(_reductions_by_masks(ctx, args))
+        for rctx, rargs in candidates:
+            assert all(type(a) is SoftSet and a.context is rctx for a in rargs)
 
 
 class TestViolates:
