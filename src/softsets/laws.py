@@ -17,12 +17,14 @@ that argument across the tuples, bit t for tuple t.  Such an integer is
 a soft set over a chunk frame of n·w bits, and every operation is
 bitwise, so ``softsets.algebra`` itself evaluates all w tuples in one
 call.  Exhaustive checking takes the chunks from the enumeration,
-random checking draws them (``_random_chunk``).  A law written as text
+random checking draws them (``_random_chunk``, at the fixed
+``DEFINED_DENSITY`` and ``MEMBER_DENSITY``).  A law written as text
 evaluates them bit-sliced (``FormulaCheck.failures``); any other check
 gets the same tuples one at a time, mapped over the enumeration's
 ``itertools.product`` or transposed from the random chunks.  A single
-tuple is a chunk of width 1 over the tuple's own frame, so
-shrinking and replay run the same steps as the checkers do.
+tuple is a chunk of width 1 over the tuple's own frame, so the
+check that shrinking and replay call on every law runs the same steps
+as the checkers do.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .model import Context, SoftSet, empty_soft_set, universal_soft_set
 
 __all__ = [
     "DEFAULT_CAP",
+    "DEFINED_DENSITY",
+    "MEMBER_DENSITY",
     "Law",
     "FormulaCheck",
     "formula_law",
@@ -140,11 +144,11 @@ def enumerate_soft_sets(ctx: Context, cap: int = DEFAULT_CAP) -> Iterator[SoftSe
 RANDOM_CHUNK_PLANE_BITS = 1 << 21
 
 
-def _check_densities(defined_density: float, member_density: float) -> None:
-    if not 0.0 <= defined_density <= 1.0:
-        raise ValueError("defined_density must lie in [0, 1]")
-    if not 0.0 < member_density <= 1.0:
-        raise ValueError("member_density must lie in (0, 1]")
+# Each parameter of a random soft set is defined with probability
+# DEFINED_DENSITY, and a defined image holds each object with probability
+# MEMBER_DENSITY, redrawn while empty.
+DEFINED_DENSITY = 0.6
+MEMBER_DENSITY = 0.5
 
 
 def _bernoulli(rng: random.Random, width: int, p: float) -> int:
@@ -265,14 +269,10 @@ def _random_soft_set(
     return SoftSet(ctx, _random_chunk(ctx, 1, rng, defined_density, member_density))
 
 
-def random_soft_set(
-    ctx: Context, seed: int, defined_density: float, member_density: float
-) -> SoftSet:
-    """Seeded random soft set: each parameter is defined with probability
-    defined_density; a defined image includes each object with
-    probability member_density and is resampled while empty."""
-    _check_densities(defined_density, member_density)
-    return _random_soft_set(ctx, random.Random(seed), defined_density, member_density)
+def random_soft_set(ctx: Context, seed: int) -> SoftSet:
+    """Seeded random soft set, drawn as ``check_random`` draws each
+    argument (``DEFINED_DENSITY``, ``MEMBER_DENSITY``)."""
+    return _random_soft_set(ctx, random.Random(seed), DEFINED_DENSITY, MEMBER_DENSITY)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +294,7 @@ def random_soft_set(
 #
 # * ``check(ctx, args)`` runs the steps on one tuple's soft sets over
 #   their own context, where w = 1, and reads the violation detail off
-#   the values of that run; replay uses this, and shrinking uses
-#   ``violates(ctx, args)``, the same run without the detail;
+#   the values of that run; replay and shrinking use this;
 # * ``failures`` runs them on a chunk of tuples over a chunk frame.
 #   Exhaustive checking builds the chunks of the enumeration
 #   (``first_failure``, tuples in ``itertools.product`` order, the last
@@ -349,11 +348,10 @@ class FormulaCheck:
 
     Called as ``check(ctx, args)`` it returns None or a violation detail,
     like any law check, and raises ContextMismatch for an argument over
-    another frame than ctx; ``violates(ctx, args)`` makes the same run
-    and only says whether the tuple violates the law.  ``failures``
-    evaluates a chunk of tuples at once with the same steps, and
-    ``first_failure(ctx)`` finds the index of the first violating tuple
-    of an exhaustive check without building one.
+    another frame than ctx.  ``failures`` evaluates a chunk of tuples at
+    once with the same steps, and ``first_failure(ctx)`` finds the index
+    of the first violating tuple of an exhaustive check without building
+    one.
     """
 
     def __init__(self, text: str, arg_names: tuple[str, ...]):
@@ -363,10 +361,8 @@ class FormulaCheck:
         index = {name: i for i, name in enumerate(arg_names)}
         names = set()
         # A run's values are the arguments, then one value per step.  A
-        # step is (kind, a, b, skipped): the name of a node's class or a
-        # formula's operator, the values of its operands, and the values
-        # of the next steps when its own value is 0: a 0 for each step up
-        # to the last ``and`` of its conjunction, none outside one.
+        # step is (kind, a, b): the name of a node's class or a formula's
+        # operator, and the values of its operands.
         steps: list[tuple[str, int, int | None]] = []
 
         def step(node, a=None, b=None) -> int | None:
@@ -381,16 +377,8 @@ class FormulaCheck:
         expr.fold(self.formula, step)
         if sorted(names) != sorted(arg_names):  # also refuses a repeated argument
             raise ValueError(f"law {text!r} names {sorted(names)}, not the arguments {list(arg_names)}")
-        # An operand of an ``and`` (a relation or another ``and``, never an
-        # argument) skips to that ``and``, and on as far as the ``and`` does.
-        skips = [0] * len(steps)
-        for i in reversed(range(len(steps))):
-            kind, a, b = steps[i]
-            if kind == "and":
-                for operand in (a - len(arg_names), b - len(arg_names)):
-                    skips[operand] = i - operand + skips[i]
-        self._steps = [step + ((0,) * skip,) for step, skip in zip(steps, skips)]
-        kind, hypothesis, _, _ = self._steps[-1]
+        self._steps = steps
+        kind, hypothesis, _ = steps[-1]
         # The first value of the conclusion, where an implication stops
         # when no tuple meets its hypothesis.
         self._conclusion = hypothesis + 1 if kind == "=>" else len(arg_names)
@@ -400,23 +388,16 @@ class FormulaCheck:
         failing, values = self._run(ctx, args, len(ctx.objects) * len(ctx.parameters), 1)
         if not failing:
             return None
-        kind, left, right, _ = self._steps[-1]
+        kind, left, right = self._steps[-1]
         if kind == "<=>":
             return _FAILURES[kind].format(bool(values[left]), bool(values[right]))
-        # The first relation of the conclusion that fails; the steps a
-        # false conjunct skipped all come after it.
+        # The first relation of the conclusion that fails.
         start = self._conclusion
-        kind, a, b, _ = next(
+        kind, a, b = next(
             step for step, value in zip(self._steps[start - len(args) :], values[start:])
             if step[0] in ("=", "<=") and not value
         )
         return _FAILURES[kind].format(values[a], values[b])
-
-    def violates(self, ctx: Context, args: tuple[SoftSet, ...]) -> bool:
-        """Whether ``check(ctx, args)`` would return a detail, without
-        formatting one; shrinking asks this of every candidate."""
-        _check_contexts(ctx, args)
-        return self._run(ctx, args, len(ctx.objects) * len(ctx.parameters), 1)[0] != 0
 
     def __repr__(self) -> str:
         return f"FormulaCheck({self.text!r}, {self.arg_names!r})"
@@ -426,13 +407,10 @@ class FormulaCheck:
         ``width`` tuples of ``n``-bit soft sets.  Returns the plane of the
         tuples that violate the law, bit t for tuple t, and the values of
         the run; an implication stops after its hypothesis when no tuple
-        meets it, and a conjunct that no tuple meets skips the rest of its
-        conjunction, whose skipped values read 0.  The algebra is looked
-        up at each call."""
+        meets it.  The algebra is looked up at each call."""
         ones, conclusion = _ones(width), self._conclusion
         values = list(args)
-        steps = iter(self._steps)
-        for kind, a, b, skipped in steps:
+        for kind, a, b in self._steps:
             if kind == "Intersect":
                 value = algebra.intersection(values[a], values[b])
             elif kind == "Union":
@@ -460,10 +438,6 @@ class FormulaCheck:
             else:  # "Universal"
                 value = universal_soft_set(frame)
             values.append(value)
-            if skipped and not value:
-                values += skipped
-                for _ in skipped:  # leave the skipped steps unrun
-                    next(steps)
             if len(values) == conclusion and not value:
                 return 0, values
         return ones ^ values[-1], values
@@ -635,18 +609,12 @@ def check_exhaustive(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> CheckRep
     return _report_violation(law, "exhaustive", index + 1, ctx, args, None, detail)
 
 
-def check_random(
-    law: Law,
-    ctx: Context,
-    trials: int,
-    seed: int,
-    defined_density: float = 0.6,
-    member_density: float = 0.5,
-) -> CheckReport:
+def check_random(law: Law, ctx: Context, trials: int, seed: int) -> CheckReport:
     """Evaluate the law on ``trials`` seeded random argument tuples.
 
     Deterministic for a fixed seed.  The tuples are drawn in chunks of
-    trials (``_random_chunk``); a law written as text evaluates a chunk
+    trials (``_random_chunk``, at ``DEFINED_DENSITY`` and
+    ``MEMBER_DENSITY``); a law written as text evaluates a chunk
     bit-sliced, and any other check is called once per tuple, transposed
     from the same chunks.  Both count cases the same way: a failure at
     trial t of the chunk starting at trial s is case s + t + 1.
@@ -655,14 +623,13 @@ def check_random(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _check_densities(defined_density, member_density)
     rng = random.Random(seed)
     n = len(ctx.objects) * len(ctx.parameters)
     per_chunk = max(1, min(1 << CHUNK_BITS, RANDOM_CHUNK_PLANE_BITS // max(1, n * law.arity)))
     for start in range(0, trials, per_chunk):
         width = min(per_chunk, trials - start)
         chunks = [
-            _random_chunk(ctx, width, rng, defined_density, member_density)
+            _random_chunk(ctx, width, rng, DEFINED_DENSITY, MEMBER_DENSITY)
             for _ in range(law.arity)
         ]
         if isinstance(law.check, FormulaCheck):
@@ -763,18 +730,12 @@ def shrink(
 
     First-improvement search over the fixed reduction order; every
     accepted step still violates the law, so the result does too.
-    Deterministic, and only locally minimal.  A law written as text is
-    only asked whether a candidate violates it (``FormulaCheck.violates``),
-    so no detail is formatted for a candidate.
+    Deterministic, and only locally minimal.  A candidate violates the
+    law when the law's check returns a detail for it.
     """
-    check = law.check
-    if isinstance(check, FormulaCheck):
-        violates = check.violates
-    else:
-        violates = lambda c, a: check(c, a) is not None  # noqa: E731
     while True:
         for smaller_ctx, smaller_args in _reductions(ctx, args):
-            if violates(smaller_ctx, smaller_args):
+            if law.check(smaller_ctx, smaller_args) is not None:
                 ctx, args = smaller_ctx, smaller_args
                 break
         else:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import softsets
+from softsets import algebra, houses
 from softsets.cli import main
 from softsets.houses import (
     RENDERED_COMPLEMENT,
@@ -221,6 +222,25 @@ class TestPaperExample:
         first = capsys.readouterr().out
         main(["paper-example"])
         assert capsys.readouterr().out == first
+
+    def test_a_wrong_operation_fails_its_fixture(self, capsys, monkeypatch):
+        monkeypatch.setattr(algebra, "difference", algebra.intersection)
+        assert main(["paper-example"]) == 1
+        out = capsys.readouterr().out
+        section = out[out.index("== F - G (difference)") :]
+        assert "FAIL: differs from the recorded fixture" in section
+        assert out.count("OK:") == 4
+        assert out.endswith("one or more fixtures differ\n")
+
+    def test_a_changed_bundled_file_fails(self, capsys, monkeypatch):
+        # an extra binding: F and G, and so every operation, still match
+        changed = bundled_workspace_text() + "\nsoftset H:\n  e1: h1\n"
+        monkeypatch.setattr(houses, "bundled_workspace_text", lambda: changed)
+        assert main(["paper-example"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: bundled file differs from the recorded assignment" in out
+        assert out.count("OK:") == 4
+        assert out.endswith("one or more fixtures differ\n")
 
 
 class TestUsageErrors:

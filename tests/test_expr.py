@@ -289,6 +289,11 @@ class TestEvaluate:
         assert evaluate(parse_text("EMPTY"), env, ctx) == empty_soft_set(ctx)
         assert evaluate(parse_text("UNIVERSAL"), env, ctx) == universal_soft_set(ctx)
 
+    def test_a_formula_is_not_an_expression(self, houses):
+        ctx, env = houses
+        with pytest.raises(TypeError):
+            evaluate(parse_formula("F = F"), env, ctx)
+
     def test_unbound_name(self, houses):
         ctx, env = houses
         with pytest.raises(UnboundName) as exc_info:
@@ -313,8 +318,8 @@ class TestEvaluate:
     def test_demorgan_holds_at_the_expression_level(self, seed):
         ctx = new_context(("x1", "x2", "x3"), ("e1", "e2", "e3"))
         env = {
-            "F": random_soft_set(ctx, seed, 0.6, 0.5),
-            "G": random_soft_set(ctx, seed + 1, 0.6, 0.5),
+            "F": random_soft_set(ctx, seed),
+            "G": random_soft_set(ctx, seed + 1),
         }
         left = evaluate(parse_text("(F & G)^c"), env, ctx)
         right = evaluate(parse_text("F^c | G^c"), env, ctx)
@@ -348,6 +353,10 @@ class TestRender:
         assert render(parse_text("F - (G - H)")) == "F - (G - H)"
         assert render(parse_text("(F & G)^c")) == "(F & G)^c"
         assert render(parse_text("F^c^c")) == "F^c^c"
+
+    def test_a_formula_is_not_an_expression(self):
+        with pytest.raises(TypeError):
+            render(parse_formula("F = F"))
         assert render(parse_text("EMPTY")) == "EMPTY"
 
     @settings(max_examples=300, deadline=None)
@@ -415,6 +424,10 @@ class TestTreeIdentity:
         text = repr(a)
         assert text.startswith("Intersect(left=Intersect(left=")
         assert text.count("Name(identifier='F')") == 3000
+
+    def test_a_name_is_nonempty(self):
+        with pytest.raises(ValueError):
+            Name("")
 
     def test_structure_decides_equality(self):
         f, g, h = Name("F"), Name("G"), Name("H")

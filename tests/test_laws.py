@@ -1,7 +1,6 @@
 """The law catalog and its checking machinery: enumeration, random
 generation, exhaustive and randomized verification, shrinking."""
 
-import copy
 import itertools
 import json
 import math
@@ -177,17 +176,17 @@ class TestEnumeration:
 
 class TestRandomGeneration:
     def test_same_seed_same_soft_set(self, ctx66):
-        a = random_soft_set(ctx66, 123, 0.6, 0.5)
-        b = random_soft_set(ctx66, 123, 0.6, 0.5)
+        a = random_soft_set(ctx66, 123)
+        b = random_soft_set(ctx66, 123)
         assert a == b
 
     def test_different_seeds_differ_somewhere(self, ctx66):
-        sets = {random_soft_set(ctx66, seed, 0.6, 0.5) for seed in range(20)}
+        sets = {random_soft_set(ctx66, seed) for seed in range(20)}
         assert len(sets) > 1
 
     def test_density_extremes(self, ctx33):
-        assert random_soft_set(ctx33, 0, 0.0, 0.5).is_empty()
-        assert random_soft_set(ctx33, 0, 1.0, 1.0).is_universal()
+        assert _random_soft_set(ctx33, random.Random(0), 0.0, 0.5).is_empty()
+        assert _random_soft_set(ctx33, random.Random(0), 1.0, 1.0).is_universal()
         # and over a plane of 500 trials
         assert set(_draw(ctx33, 500, 0, 0.0, 0.5)) == {0}
         assert set(_draw(ctx33, 500, 0, 1.0, 1.0)) == {ctx33.full_bits}
@@ -198,16 +197,9 @@ class TestRandomGeneration:
 
     def test_defined_images_are_never_empty(self, ctx33):
         for seed in range(200):
-            s = random_soft_set(ctx33, seed, 0.9, 0.1)
+            s = _random_soft_set(ctx33, random.Random(seed), 0.9, 0.1)
             for e in s.domain():
                 assert s.image(e)
-
-    @pytest.mark.parametrize("dd,md", [(-0.1, 0.5), (1.1, 0.5), (0.5, 0.0), (0.5, 1.5)])
-    def test_density_validation(self, ctx33, dd, md):
-        with pytest.raises(ValueError):
-            random_soft_set(ctx33, 0, dd, md)
-        with pytest.raises(ValueError):
-            check_random(lookup("bounds"), ctx33, 10, 0, dd, md)
 
 
 def _draw(ctx, trials, seed, dd, md):
@@ -513,43 +505,39 @@ def test_check_agrees_with_a_reference_evaluation(law):
             assert (law.check(ctx, args) is None) == holds, (ctx, args)
 
 
-def _without_skipping(check):
-    """A copy of a FormulaCheck whose conjunctions run every step."""
-    reference = copy.copy(check)
-    reference._steps = [(kind, a, b, ()) for kind, a, b, _ in check._steps]
-    return reference
+def _relations(f):
+    """The relations of a formula, in the order its check runs them."""
+    if f.op in ("and", "=>", "<=>"):
+        return _relations(f.left) + _relations(f.right)
+    return [f]
+
+
+def _reference_detail(f, env, ctx):
+    """The violation detail of a formula on one tuple, built apart from
+    FormulaCheck: the truth values of the sides of a ``<=>``, or else
+    the first failing relation of the conclusion."""
+    if f.op == "<=>":
+        left, right = _reference_holds(f.left, env, ctx), _reference_holds(f.right, env, ctx)
+        return f"the left side is {left} but the right side is {right}"
+    for relation in _relations(f.right if f.op == "=>" else f):
+        if not _reference_holds(relation, env, ctx):
+            a, b = expr.evaluate(relation.left, env, ctx), expr.evaluate(relation.right, env, ctx)
+            if relation.op == "=":
+                return f"left side {a!r} differs from right side {b!r}"
+            return f"{a!r} is not a subset of {b!r}"
+    raise AssertionError("a failing formula has a failing relation")
 
 
 @pytest.mark.parametrize("law", TEXT_LAWS, ids=lambda law: law.id)
-def test_short_circuit_changes_no_verdict_or_detail(law):
-    check, reference = law.check, _without_skipping(law.check)
+def test_check_details_match_a_reference(law):
+    formula = expr.parse_formula(law.statement)
     for shape in [(2, 1), (1, 2)]:
         ctx = frame(*shape)
         for args in itertools.product(enumerate_soft_sets(ctx), repeat=law.arity):
-            assert check(ctx, args) == reference(ctx, args), (ctx, args)
-            assert check.violates(ctx, args) == reference.violates(ctx, args)
-    for shape in FRAMES:
-        ctx = frame(*shape)
-        if len(ctx.objects) * len(ctx.parameters) * law.arity <= 12:
-            assert check.first_failure(ctx) == reference.first_failure(ctx), shape
-
-
-def test_a_false_conjunct_skips_the_rest_of_its_conjunction(monkeypatch):
-    law = formula_law("t", "F G", "F <= G and F & G = F and F | G = G")
-    ctx = frame(1, 1)
-    calls = []
-
-    def counted(op):
-        return lambda s, t: calls.append(op) or op(s, t)
-
-    for name in ("intersection", "union"):
-        monkeypatch.setattr(algebra, name, counted(getattr(algebra, name)))
-    assert law.check(ctx, (SoftSet(ctx, 1), SoftSet(ctx, 0))) == (
-        "SoftSet({e1: x1}) is not a subset of SoftSet({})"
-    )
-    assert calls == []  # both later conjuncts were skipped
-    assert law.check(ctx, (SoftSet(ctx, 0), SoftSet(ctx, 1))) is None
-    assert len(calls) == 2
+            env = dict(zip(law.arg_names, args))
+            holds = _reference_holds(formula, env, ctx)
+            expected = None if holds else _reference_detail(formula, env, ctx)
+            assert law.check(ctx, args) == expected, (ctx, args)
 
 
 # Operations broken in a bitwise way, so that the bit-sliced and the
@@ -691,13 +679,6 @@ class TestSlicedRandomChecking:
         assert report.cases > 3  # 3 trials per chunk at arity 4
         assert report == check_random(_per_tuple(law), frame(3, 3), 1000, 1)
 
-    def test_density_extremes_reach_the_check(self, ctx33):
-        # every tuple empty: F - G = G - F holds; every tuple universal too
-        law = BROKEN_LAWS[0]
-        assert check_random(law, ctx33, 100, 0, defined_density=0.0).passed
-        assert check_random(law, ctx33, 100, 0, 1.0, 1.0).passed
-        assert not check_random(law, ctx33, 100, 0, 1.0, 0.5).passed
-
     @pytest.mark.parametrize("sliced", [True, False], ids=["sliced", "per-tuple"])
     def test_chunk_memory_is_bounded_on_wide_frames(self, sliced):
         # one chunk of 20000 trials at 40 x 40 would hold 1600 planes of
@@ -823,31 +804,6 @@ def test_reductions_on_bits_match_the_masks_based_ones(n_objects, n_params):
         assert candidates == list(_reductions_by_masks(ctx, args))
         for rctx, rargs in candidates:
             assert all(type(a) is SoftSet and a.context is rctx for a in rargs)
-
-
-class TestViolates:
-    def test_agrees_with_check(self, ctx33):
-        rng = random.Random(11)
-        formula_laws = law_catalog() + tuple(
-            law for law in BROKEN_LAWS if isinstance(law.check, FormulaCheck)
-        )
-        for law in formula_laws:
-            for _ in range(40):
-                args = tuple(_random_soft_set(ctx33, rng, 0.6, 0.5) for _ in range(law.arity))
-                assert law.check.violates(ctx33, args) == (law.check(ctx33, args) is not None)
-
-    def test_rejects_an_argument_over_anotherframe(self, ctx22, ctx33):
-        law = lookup("idempotent-1")
-        with pytest.raises(ContextMismatch):
-            law.check.violates(ctx22, (make(ctx33, e1="x1"),))
-
-    def test_shrink_asks_formula_checks_only_for_a_verdict(self, ctx33, monkeypatch):
-        broken = BROKEN_LAWS[0]  # difference commutes
-        args = (make(ctx33, e1="x1 x2", e2="x3", e3="x1"), make(ctx33, e1="x2", e3="x1 x3"))
-        expected = shrink(broken, ctx33, args)
-        assert expected[0] != ctx33  # the frame shrank
-        monkeypatch.setattr(FormulaCheck, "__call__", lambda *a: pytest.fail("detail formatted"))
-        assert shrink(broken, ctx33, args) == expected
 
 
 # The rendered counterexample of every mutant, pinned from the dataclass
