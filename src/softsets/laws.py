@@ -30,6 +30,7 @@ as the checkers do.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
@@ -218,6 +219,22 @@ def _or_blocks(wide: int, count: int, width: int) -> int:
     return wide
 
 
+def _or_windows(wide: int, count: int, width: int, shift: Callable[[int, int], int]) -> int:
+    """Each block of ``width`` bits of ``wide`` ORed with the ``count`` - 1
+    blocks that ``shift`` brings onto it: the blocks above it for
+    ``operator.rshift``, below it for ``operator.lshift``.  They come as
+    two windows of 2**m <= count blocks, the second starting count - 2**m
+    blocks away, which together cover all ``count``: m doublings build
+    the windows and one more shift ORs in the second.  That is m + 1
+    passes over ``wide`` and no mask; the caller masks off the blocks
+    that took bits from beyond their group of ``count``."""
+    span = 1
+    while 2 * span <= count:
+        wide |= shift(wide, span * width)
+        span *= 2
+    return wide | shift(wide, (count - span) * width)
+
+
 def _random_chunk(
     ctx: Context, width: int, rng: random.Random, defined_density: float, member_density: float
 ) -> int:
@@ -225,40 +242,57 @@ def _random_chunk(
     block j (bits j·width and up) is packed bit j of trial t's soft set.
 
     One draw gives every parameter's plane of the trials that define it,
-    and one more the images of every parameter, a block per object.  A
-    trial whose defined image came out empty then redraws that image,
-    and only that one, until it is nonempty: each trial's image is
+    and one more the images of every parameter, a block per object,
+    parameter i's image at bits i·|U|·width and up.  Over that whole
+    draw at once, shifts spread each defined plane over its image's
+    blocks and fold each image back onto its first block
+    (``_or_windows``), which finds the defined trials whose image came
+    out empty for every parameter in one test.  Only a parameter with
+    such a trial then redraws its image, in parameter order, for those
+    trials alone, until each is nonempty: each trial's image is
     resampled while empty, as one tuple at a time would be, with a round
     of draws per parameter that needs it rather than per trial."""
     n_objects, n_params = len(ctx.objects), len(ctx.parameters)
+    if not n_params:  # no bits to draw, and no universe to fold over
+        return 0
     image_bits = n_objects * width
-    defined = _split(_bernoulli(rng, n_params * width, defined_density), n_params, width)
-    drawn = _split(_bernoulli(rng, n_params * image_bits, member_density), n_params, image_bits)
-    # A plane of trials times this repunit copies it into every object's block.
-    repunit = ((1 << image_bits) - 1) // ((1 << width) - 1)
-    images = []
-    for empty, batch in zip(defined, drawn):  # the trials still without a member
-        image = 0
-        while empty:
-            image |= batch & empty * repunit
-            empty &= ~_or_blocks(batch, n_objects, width)
-            if empty:
+    # Each parameter's plane of defined trials, in block 0 of its image.
+    defined = _join(
+        _split(_bernoulli(rng, n_params * width, defined_density), n_params, width), image_bits
+    )
+    drawn = _bernoulli(rng, n_params * image_bits, member_density)
+    drawn &= _or_windows(defined, n_objects, width, operator.lshift)
+    # Block 0 of each image ORs in its |U| blocks; the other blocks mix
+    # two images and are masked off with ``defined``.
+    covered = _or_windows(drawn, n_objects, width, operator.rshift)
+    empty = covered & defined ^ defined
+    images = _split(drawn, n_params, image_bits)
+    if empty:  # redraw, in parameter order, for the trials still without a member
+        # A plane of trials times this repunit copies it into every object's block.
+        repunit = ((1 << image_bits) - 1) // ((1 << width) - 1)
+        for i, plane in enumerate(_split(empty, n_params, image_bits)):
+            while plane:
                 batch = _bernoulli(rng, image_bits, member_density)
-        images.append(image)
+                images[i] |= batch & plane * repunit
+                plane &= ~_or_blocks(batch, n_objects, width)
     # Object k of parameter i is packed bit |U|·(|E|-1-i) + k.
     return _join(images[::-1], image_bits)
 
 
-def _transpose(wide: int, n: int, width: int) -> Iterator[int]:
-    """The packed bits of each trial of an ``n``-block chunk, in trial
-    order: bit j of trial t's value is bit t of block j."""
-    blocks = _split(wide, n, width)
-    if not blocks:
-        return itertools.repeat(0, width)
-    # Row r, read backwards, lists block n-1-r by trial, so each column is
-    # one trial's bits, most significant first.
-    rows = [format(block, f"0{width}b")[::-1] for block in reversed(blocks)]
-    return (int("".join(column), 2) for column in zip(*rows))
+def _transpose(wide: int, n: int, width: int, first: int = 0) -> Iterator[int]:
+    """The packed bits of each trial of an ``n``-block chunk from trial
+    ``first`` on, in trial order: bit j of trial t's value is bit t of
+    block j.
+
+    The chunk's binary digits are written once, most significant first,
+    below a one bit a whole block above the chunk; trial t's digits are
+    then every ``width``-th one from the zero of that block at column
+    t, which also reads 0 for a chunk of no blocks.  Each trial is read
+    when it is asked for.  ``bin()`` writes the digits once, where
+    ``format(wide, "0Nb")`` copies them into a second string: on the
+    40 x 40 memory test that copy peaked at about 4.5 MB."""
+    digits = bin(wide | 1 << (n + 1) * width)
+    return (int(digits[width + 2 - t :: width], 2) for t in range(first, width))
 
 
 def _random_soft_set(
@@ -636,10 +670,7 @@ def check_random(law: Law, ctx: Context, trials: int, seed: int) -> CheckReport:
             failing = law.check.failures(chunks, n, width)
             if failing:
                 t = _lowest_bit(failing)
-                blocks = (_split(chunk, n, width) for chunk in chunks)
-                args = tuple(
-                    SoftSet(ctx, sum((b >> t & 1) << j for j, b in enumerate(bs))) for bs in blocks
-                )
+                args = tuple(SoftSet(ctx, next(_transpose(chunk, n, width, t))) for chunk in chunks)
                 detail = law.check(ctx, args)
                 return _report_violation(law, "random", start + t + 1, ctx, args, seed, detail)
             continue
@@ -656,14 +687,19 @@ def check_random(law: Law, ctx: Context, trials: int, seed: int) -> CheckReport:
 # Shrinking
 
 
+# A frame cut from a valid one is built without checking its names
+# again (``Context._cut``); ``_reductions`` drops an object only while the
+# universe stays nonempty or there are no parameters.
+
+
 def _drop_parameter(ctx: Context, j: int) -> Context:
     parameters = ctx.parameters[:j] + ctx.parameters[j + 1 :]
-    return Context(ctx.objects, parameters)
+    return Context._cut(ctx.objects, parameters)
 
 
 def _drop_object(ctx: Context, k: int) -> Context:
     objects = ctx.objects[:k] + ctx.objects[k + 1 :]
-    return Context(objects, ctx.parameters)
+    return Context._cut(objects, ctx.parameters)
 
 
 def _squeeze_bit(mask: int, k: int) -> int:

@@ -89,18 +89,32 @@ class Context:
     full_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "parameters", tuple(self.parameters))
-        _check_identifiers("object", self.objects)
-        _check_identifiers("parameter", self.parameters)
-        if self.parameters and not self.objects:
+        objects, parameters = tuple(self.objects), tuple(self.parameters)
+        _check_identifiers("object", objects)
+        _check_identifiers("parameter", parameters)
+        if parameters and not objects:
             raise EmptyUniverse(
                 "a context with parameters needs a nonempty universe: "
                 "no parameter can have a nonempty image over an empty universe"
             )
-        width = len(self.objects)
+        self._set_fields(objects, parameters)
+
+    @classmethod
+    def _cut(cls, objects: tuple[str, ...], parameters: tuple[str, ...]) -> "Context":
+        """A context over subsequences of a valid context's names, built
+        without checking them again: distinct nonempty names stay so.
+        The caller keeps the universe nonempty while there are
+        parameters."""
+        ctx = object.__new__(cls)
+        ctx._set_fields(objects, parameters)
+        return ctx
+
+    def _set_fields(self, objects: tuple[str, ...], parameters: tuple[str, ...]) -> None:
+        width = len(objects)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "full_mask", (1 << width) - 1)
-        object.__setattr__(self, "full_bits", (1 << width * len(self.parameters)) - 1)
+        object.__setattr__(self, "full_bits", (1 << width * len(parameters)) - 1)
 
     @cached_property
     def object_bit(self) -> dict[str, int]:

@@ -38,10 +38,13 @@ from softsets.laws import (
     shrink,
     soft_set_count,
     _bernoulli,
+    _join,
+    _or_blocks,
     _random_chunk,
     _random_soft_set,
     _reductions,
     _report_violation,
+    _split,
     _squeeze_bit,
     _transpose,
 )
@@ -280,7 +283,64 @@ class TestPlaneGenerator:
         # trial t's value gathers bit t of every block, block j at bit j
         chunk = 0b0001_1100_0110
         assert list(_transpose(chunk, 3, 4)) == [0b100, 0b001, 0b011, 0b010]
+        assert list(_transpose(chunk, 3, 4, 2)) == [0b011, 0b010]
         assert list(_transpose(0, 0, 3)) == [0, 0, 0]
+
+
+def _reference_random_chunk(ctx, width, rng, defined_density, member_density):
+    """The chunk generator as it was before the one-pass emptiness test:
+    each parameter's first draw ORed over its objects on its own."""
+    n_objects, n_params = len(ctx.objects), len(ctx.parameters)
+    image_bits = n_objects * width
+    defined = _split(_bernoulli(rng, n_params * width, defined_density), n_params, width)
+    drawn = _split(_bernoulli(rng, n_params * image_bits, member_density), n_params, image_bits)
+    repunit = ((1 << image_bits) - 1) // ((1 << width) - 1)
+    images = []
+    for empty, batch in zip(defined, drawn):
+        image = 0
+        while empty:
+            image |= batch & empty * repunit
+            empty &= ~_or_blocks(batch, n_objects, width)
+            if empty:
+                batch = _bernoulli(rng, image_bits, member_density)
+        images.append(image)
+    return _join(images[::-1], image_bits)
+
+
+def _reference_transpose(wide, n, width):
+    """The transposition as it was before it read digits by stride: one
+    string per block, zipped into columns."""
+    blocks = _split(wide, n, width)
+    if not blocks:
+        return itertools.repeat(0, width)
+    rows = [format(block, f"0{width}b")[::-1] for block in reversed(blocks)]
+    return (int("".join(column), 2) for column in zip(*rows))
+
+
+# Odd universes and powers of two, which put the second window of the
+# emptiness test at its edges; widths around a machine word.
+STREAM_FRAMES = [(0, 0), (3, 0), (1, 1), (2, 2), (3, 5), (5, 1), (6, 6), (7, 2), (8, 3), (40, 40)]
+STREAM_WIDTHS = [1, 2, 50, 63, 64, 65, 333, 1310]
+STREAM_DENSITIES = [(0.6, 0.5), (0.1, 0.05), (1.0, 1.0), (0.3, 0.9)]
+
+
+@pytest.mark.parametrize("n_objects, n_params", STREAM_FRAMES)
+def test_random_stream_matches_the_reference(n_objects, n_params):
+    # The same chunks, trials and generator state afterwards, so every
+    # random report stays as it was.  Transposing a 40 x 40 chunk the
+    # reference way takes about 20 ms at the widest width, so that frame
+    # compares trials for the first four seeds only.
+    ctx = frame(n_objects, n_params)
+    n = n_objects * n_params
+    transposed_seeds = range(4) if n > 1000 else range(20)
+    for width, (dd, md), seed in itertools.product(STREAM_WIDTHS, STREAM_DENSITIES, range(20)):
+        rng, reference = random.Random(seed), random.Random(seed)
+        chunk = _random_chunk(ctx, width, rng, dd, md)
+        assert chunk == _reference_random_chunk(ctx, width, reference, dd, md), (width, dd, md, seed)
+        assert rng.getstate() == reference.getstate(), (width, dd, md, seed)
+        if seed in transposed_seeds:
+            trials = list(_transpose(chunk, n, width))
+            assert trials == list(_reference_transpose(chunk, n, width)), (width, dd, md, seed)
 
 
 class TestCheckExhaustive:
@@ -804,6 +864,36 @@ def test_reductions_on_bits_match_the_masks_based_ones(n_objects, n_params):
         assert candidates == list(_reductions_by_masks(ctx, args))
         for rctx, rargs in candidates:
             assert all(type(a) is SoftSet and a.context is rctx for a in rargs)
+
+
+@pytest.mark.parametrize("n_objects, n_params", [(3, 3), (1, 2), (2, 0)])
+def test_cut_frames_match_checked_ones(n_objects, n_params):
+    # every frame that shrinking cuts from this one, built without the
+    # identifier checks, is the frame new_context builds from its names
+    ctx = frame(n_objects, n_params)
+    cut = [c for c, _ in _reductions(ctx, ()) if c is not ctx]
+    assert len(cut) == n_params + (n_objects if n_objects > 1 or n_params == 0 else 0)
+    for c in cut:
+        checked = new_context(c.objects, c.parameters)
+        assert c == checked and hash(c) == hash(checked)
+        assert (c.full_mask, c.full_bits) == (checked.full_mask, checked.full_bits)
+        assert c.object_bit == checked.object_bit
+        assert c.parameter_offset == checked.parameter_offset
+        assert repr(c) == repr(checked)
+
+
+def test_a_shrink_over_a_cut_frame_reloads():
+    from softsets.workspace import Workspace, load_workspace, render_workspace
+
+    broken = BROKEN_LAWS[0]  # difference commutes: shrinks to 1 x 1
+    report = check_random(broken, frame(3, 3), 1000, 0)
+    cex = report.counterexample
+    assert len(cex.context.objects) == len(cex.context.parameters) == 1
+    ws = Workspace(cex.context, dict(zip(broken.arg_names, cex.args)))
+    reloaded = load_workspace(render_workspace(ws))
+    assert reloaded == ws
+    assert reloaded.context == cex.context
+    assert broken.check(reloaded.context, tuple(reloaded.bindings.values())) is not None
 
 
 # The rendered counterexample of every mutant, pinned from the dataclass
