@@ -15,19 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+import warnings
+from functools import cache
 
 from . import expr
-from .errors import LexError, ParseError, SoftSetError, UnboundName
-from .houses import paper_example_report
-from .laws import (
-    DEFAULT_CAP,
-    check_cap,
-    check_exhaustive,
-    check_random,
-    law_catalog,
-    lookup,
-)
+from .errors import DEFAULT_CAP, LexError, ParseError, SoftSetError, UnboundName
 from .model import Context, new_context
 from .workspace import Workspace, load_workspace, render_soft_set, render_workspace
 
@@ -48,6 +40,9 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+# One parser per process: parsing never changes it, so repeated calls
+# of main in one process (tests, benchmarks) share it.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softsets",
@@ -120,7 +115,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> Workspace:
-    return load_workspace(Path(path).read_text(encoding="utf-8-sig"))
+    """Load a workspace file, printing each of the loader's warnings
+    (empty image lines) as a ``warning:`` line on standard error."""
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ws = load_workspace(text)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return ws
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -143,6 +147,10 @@ def _generated_context(n_objects: int, n_parameters: int) -> Context:
 
 
 def _cmd_check_laws(args: argparse.Namespace) -> int:
+    # Imported here: the law catalog, and the dataclasses its reports
+    # are, serve only this subcommand.
+    from .laws import check_cap, check_exhaustive, check_random, law_catalog, lookup
+
     ctx = _generated_context(args.universe, args.params)
     if args.law:
         try:
@@ -179,14 +187,15 @@ def _cmd_check_laws(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper_example(args: argparse.Namespace) -> int:
+    from .houses import paper_example_report
+
     text, ok = paper_example_report()
     sys.stdout.write(text)
     return 0 if ok else 1
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (LexError, ParseError, UnboundName) as exc:

@@ -41,6 +41,12 @@ class EnumerationTooLarge(SoftSetError):
     pass
 
 
+# Largest number of argument tuples exhaustive law checking enumerates
+# before raising EnumerationTooLarge.  Kept here, with its exception,
+# so that ``softsets.cli`` can show it without importing ``laws``.
+DEFAULT_CAP = 1_000_000
+
+
 class UnboundName(SoftSetError):
     def __init__(self, name: str):
         super().__init__(f"unbound name {name}")

@@ -35,12 +35,11 @@ tree needs, its text nests no deeper than the source and parses again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from . import algebra
 from .errors import ContextMismatch, LexError, ParseError, UnboundName
-from .model import Context, SoftSet, empty_soft_set, universal_soft_set
+from .model import Context, SoftSet, _Frozen, empty_soft_set, universal_soft_set
 
 __all__ = [
     "Token",
@@ -85,23 +84,51 @@ IFF = "IFF"
 END = "END"  # closes the parser's input; tokenize never emits it
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(_Frozen):
+    """One lexeme: its kind, its text and its 1-based position."""
+
+    __slots__ = ("kind", "text", "line", "column")
+    __match_args__ = ("kind", "text", "line", "column")
+
     kind: str
     text: str
     line: int
     column: int
 
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        _set_kind(self, kind)
+        _set_text(self, text)
+        _set_line(self, line)
+        _set_column(self, column)
 
-class _Node:
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.text, self.line, self.column) == (
+            other.kind, other.text, other.line, other.column
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.text, self.line, self.column))
+
+    def __repr__(self):
+        return (
+            f"Token(kind={self.kind!r}, text={self.text!r}, "
+            f"line={self.line!r}, column={self.column!r})"
+        )
+
+
+class _Node(_Frozen):
     """Base of expression and formula nodes.
 
-    Trees may be far deeper than the recursion limit (a 3,000-term chain
-    parses into a tree 3,000 deep), so ``==``, ``hash`` and ``repr`` walk
-    them with explicit stacks instead of the recursive methods that
-    dataclasses generate."""
+    Each node class lists its fields in ``_fields`` (and
+    ``__match_args__``), in constructor order.  Trees may be far deeper
+    than the recursion limit (a 3,000-term chain parses into a tree
+    3,000 deep), so ``==``, ``hash`` and ``repr`` walk them with explicit
+    stacks instead of recursing."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def _key(self) -> tuple:
         """The tree as one flat tuple, in post-order: each node's type,
@@ -138,10 +165,10 @@ class _Node:
                 parts.append(item)
                 continue
             pieces: list = [f"{type(item).__name__}("]
-            for i, f in enumerate(fields(item)):
-                value = getattr(item, f.name)
+            for i, name in enumerate(item._fields):
+                value = getattr(item, name)
                 separator = ", " if i else ""
-                pieces += [separator, f"{f.name}=", value if isinstance(value, _Node) else repr(value)]
+                pieces += [separator, f"{name}=", value if isinstance(value, _Node) else repr(value)]
             pieces.append(")")
             stack.extend(reversed(pieces))
         return "".join(parts)
@@ -153,63 +180,88 @@ class Expr(_Node):
     __slots__ = ()
 
 
-# eq=False and repr=False keep the stack-based methods of _Node.
-_node = dataclass(frozen=True, eq=False, repr=False)
+class _Binary(_Node):
+    """A node with two children: a binary operator, or a Formula."""
 
+    __slots__ = ("left", "right")
+    __match_args__ = _fields = ("left", "right")
 
-@_node
-class Name(Expr):
-    identifier: str
-
-    def __post_init__(self):
-        if not self.identifier:
-            raise ValueError("Name identifier must be nonempty")
-
-
-@_node
-class Empty(Expr):
-    pass
-
-
-@_node
-class Universal(Expr):
-    pass
-
-
-@_node
-class Complement(Expr):
-    child: Expr
-
-
-@_node
-class Intersect(Expr):
-    left: Expr
-    right: Expr
-
-
-@_node
-class Union(Expr):
-    left: Expr
-    right: Expr
-
-
-@_node
-class Difference(Expr):
-    left: Expr
-    right: Expr
-
-
-@_node
-class Formula(_Node):
-    """A law node: a relation (``=``, ``<=``) between two expressions, or
-    a connective (``and``, ``=>``, ``<=>``) between two formulas."""
-
-    op: str
     left: Expr | Formula
     right: Expr | Formula
 
+    def __init__(self, left: Expr | Formula, right: Expr | Formula):
+        _set_left(self, left)
+        _set_right(self, right)
 
-_BINARY = (Intersect, Union, Difference, Formula)
+
+class Name(Expr):
+    __slots__ = ("identifier",)
+    __match_args__ = _fields = ("identifier",)
+
+    identifier: str
+
+    def __init__(self, identifier: str):
+        if not identifier:
+            raise ValueError("Name identifier must be nonempty")
+        _set_identifier(self, identifier)
+
+
+class Empty(Expr):
+    __slots__ = ()
+
+
+class Universal(Expr):
+    __slots__ = ()
+
+
+class Complement(Expr):
+    __slots__ = ("child",)
+    __match_args__ = _fields = ("child",)
+
+    child: Expr
+
+    def __init__(self, child: Expr):
+        _set_child(self, child)
+
+
+class Intersect(_Binary, Expr):
+    __slots__ = ()
+
+
+class Union(_Binary, Expr):
+    __slots__ = ()
+
+
+class Difference(_Binary, Expr):
+    __slots__ = ()
+
+
+class Formula(_Binary):
+    """A law node: a relation (``=``, ``<=``) between two expressions, or
+    a connective (``and``, ``=>``, ``<=>``) between two formulas."""
+
+    __slots__ = ("op",)
+    __match_args__ = _fields = ("op", "left", "right")
+
+    op: str
+
+    def __init__(self, op: str, left: Expr | Formula, right: Expr | Formula):
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+# The slots' own setters, bound once: _Frozen.__setattr__ refuses every
+# write.
+_set_kind = Token.kind.__set__
+_set_text = Token.text.__set__
+_set_line = Token.line.__set__
+_set_column = Token.column.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_identifier = Name.identifier.__set__
+_set_child = Complement.child.__set__
+_set_op = Formula.op.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +440,7 @@ def fold(ast: Expr | Formula, combine: Callable):
                 values.append(combine(node, values.pop()))
             else:
                 stack += ((node, True), (node.child, False))
-        elif isinstance(node, _BINARY):
+        elif isinstance(node, _Binary):
             if ready:
                 right = values.pop()
                 values.append(combine(node, values.pop(), right))

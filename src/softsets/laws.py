@@ -37,7 +37,7 @@ from functools import cache, lru_cache, partial
 from typing import Callable, Iterator
 
 from . import algebra, expr
-from .errors import ContextMismatch, EnumerationTooLarge
+from .errors import DEFAULT_CAP, ContextMismatch, EnumerationTooLarge
 from .model import Context, SoftSet, empty_soft_set, universal_soft_set
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
     "check_random",
     "shrink",
 ]
-
-DEFAULT_CAP = 1_000_000
 
 CheckFn = Callable[[Context, tuple[SoftSet, ...]], "str | None"]
 

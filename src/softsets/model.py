@@ -25,9 +25,7 @@ OR-ing each image's mask into one integer at its parameter's offset.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     BadIdentifier,
@@ -71,25 +69,58 @@ def _members(names: tuple[str, ...], mask: int) -> list[str]:
     return members
 
 
-@dataclass(frozen=True)
-class Context:
+class _Frozen:
+    """Base of the package's hand-written value classes (``SoftSet``,
+    ``Context``, ``Workspace``, and the expression tokens and nodes).
+
+    Each subclass lists its fields in ``__slots__`` and
+    ``__match_args__``, and sets them once, in ``__init__``, through the
+    slots' own setters bound at module level; any later assignment or
+    deletion raises ``FrozenInstanceError``, as a frozen dataclass does.
+    The exception is imported when raised, which keeps ``dataclasses``
+    out of the import of ``softsets.cli``.  Instances pickle and copy
+    by calling the class again with their fields."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Context(_Frozen):
     """Shared frame for soft sets: an ordered universe of objects plus an
     ordered parameter space.  Declaration order is the canonical order used
     by every rendering.  Immutable; equal contexts are interchangeable.
 
-    ``full_mask`` and ``full_bits`` are computed once, on construction,
-    since every soft set built over the context reads ``full_bits``.
+    ``full_mask`` (bitmask of the whole universe) and ``full_bits``
+    (packed bits of the universal soft set: every mask full) are
+    computed once, on construction, since every soft set built over the
+    context reads ``full_bits``.  The lookup maps ``object_bit`` and
+    ``parameter_offset`` are built on first read, as many contexts
+    (the frames shrinking cuts) never need them.
     """
+
+    __slots__ = ("objects", "parameters", "full_mask", "full_bits", "_object_bit", "_parameter_offset")
+    __match_args__ = ("objects", "parameters")
 
     objects: tuple[str, ...]
     parameters: tuple[str, ...]
-    #: Bitmask of the whole universe.
-    full_mask: int = field(init=False, repr=False, compare=False)
-    #: Packed bits of the universal soft set: every mask full.
-    full_bits: int = field(init=False, repr=False, compare=False)
+    full_mask: int
+    full_bits: int
 
-    def __post_init__(self):
-        objects, parameters = tuple(self.objects), tuple(self.parameters)
+    def __init__(self, objects: Sequence[str], parameters: Sequence[str]):
+        objects, parameters = tuple(objects), tuple(parameters)
         _check_identifiers("object", objects)
         _check_identifiers("parameter", parameters)
         if parameters and not objects:
@@ -111,21 +142,39 @@ class Context:
 
     def _set_fields(self, objects: tuple[str, ...], parameters: tuple[str, ...]) -> None:
         width = len(objects)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "full_mask", (1 << width) - 1)
-        object.__setattr__(self, "full_bits", (1 << width * len(parameters)) - 1)
+        _set_objects(self, objects)
+        _set_parameters(self, parameters)
+        _set_full_mask(self, (1 << width) - 1)
+        _set_full_bits(self, (1 << width * len(parameters)) - 1)
 
-    @cached_property
+    @property
     def object_bit(self) -> dict[str, int]:
         """Each object's bit in a mask: bit k for the k-th object."""
-        return {name: 1 << k for k, name in enumerate(self.objects)}
+        try:
+            return self._object_bit
+        except AttributeError:
+            bit = {obj: 1 << k for k, obj in enumerate(self.objects)}
+            _set_object_bit(self, bit)
+            return bit
 
-    @cached_property
+    @property
     def parameter_offset(self) -> dict[str, int]:
         """Each parameter's bit offset in a packed soft set."""
-        width, last = len(self.objects), len(self.parameters) - 1
-        return {name: width * (last - i) for i, name in enumerate(self.parameters)}
+        try:
+            return self._parameter_offset
+        except AttributeError:
+            width, last = len(self.objects), len(self.parameters) - 1
+            offset = {p: width * (last - i) for i, p in enumerate(self.parameters)}
+            _set_parameter_offset(self, offset)
+            return offset
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.objects, self.parameters) == (other.objects, other.parameters)
+
+    def __hash__(self):
+        return hash((self.objects, self.parameters))
 
     def object_mask(self, names: Iterable[str]) -> int:
         bit = self.object_bit
@@ -144,6 +193,16 @@ class Context:
         return f"Context(objects={list(self.objects)}, parameters={list(self.parameters)})"
 
 
+# The slots' own setters, bound once: Context.__setattr__ refuses every
+# write.
+_set_objects = Context.objects.__set__
+_set_parameters = Context.parameters.__set__
+_set_full_mask = Context.full_mask.__set__
+_set_full_bits = Context.full_bits.__set__
+_set_object_bit = Context._object_bit.__set__
+_set_parameter_offset = Context._parameter_offset.__set__
+
+
 def new_context(objects: Sequence[str], parameters: Sequence[str]) -> Context:
     """Build a context, rejecting duplicates and empty identifier strings.
 
@@ -153,7 +212,7 @@ def new_context(objects: Sequence[str], parameters: Sequence[str]) -> Context:
     return Context(tuple(objects), tuple(parameters))
 
 
-class SoftSet:
+class SoftSet(_Frozen):
     """An immutable soft set over ``context``.
 
     ``bits`` packs one mask per context parameter (see the module
@@ -184,12 +243,6 @@ class SoftSet:
         _set_context(self, context)
         _set_bits(self, bits)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -198,9 +251,6 @@ class SoftSet:
 
     def __hash__(self):
         return hash((self.context, self.bits))
-
-    def __reduce__(self):
-        return self.__class__, (self.context, self.bits)
 
     @classmethod
     def from_masks(cls, context: Context, masks: Iterable[int]) -> "SoftSet":
@@ -319,9 +369,10 @@ def _pack_pairs(
     offset, as the workspace loader does."""
     bits = 0
     seen: set[str] = set()
+    offsets = ctx.parameter_offset
     for parameter, objs in pairs:
         try:
-            offset = ctx.parameter_offset[parameter]
+            offset = offsets[parameter]
         except KeyError:
             raise UnknownParameter(f"unknown parameter {parameter!r}") from None
         if parameter in seen:

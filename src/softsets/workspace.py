@@ -20,11 +20,11 @@ refuses an identifier that contains such whitespace or ``#``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 
 from .errors import ContextMismatch, FormatError, SoftSetError, UnknownObject
 from .expr import is_name
-from .model import Context, SoftSet, new_context
+from .model import Context, SoftSet, _Frozen, new_context
 
 # The loader packs its soft sets itself and never calls soft_set.  The
 # name stays bound because perfbench/tracing.py wraps
@@ -34,25 +34,49 @@ from .model import soft_set  # noqa: F401
 __all__ = ["Workspace", "load_workspace", "render_workspace", "render_soft_set"]
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """A context together with an ordered map of named soft sets."""
+class Workspace(_Frozen):
+    """A context together with an ordered map of named soft sets.
+
+    Equal when the contexts and the maps are equal; unhashable, as its
+    map is a dict."""
+
+    __slots__ = ("context", "bindings")
+    __match_args__ = ("context", "bindings")
 
     context: Context
-    bindings: dict[str, SoftSet] = field(default_factory=dict)
+    bindings: dict[str, SoftSet]
 
-    def __post_init__(self):
-        object.__setattr__(self, "bindings", dict(self.bindings))
-        for name, bound in self.bindings.items():
+    def __init__(self, context: Context, bindings: Mapping[str, SoftSet] = {}):
+        bindings = dict(bindings)
+        for name, bound in bindings.items():
             # A binding name must be exactly one NAME of the expression
             # language (the loader checks the same), so that every
             # binding stays reachable from expressions.
             if not is_name(name):
                 raise ValueError(f"binding name {name!r} is not a NAME lexeme")
-            if bound.context != self.context:
+            if bound.context != context:
                 raise ContextMismatch(
                     f"binding {name!r} does not share the workspace context"
                 )
+        _set_context(self, context)
+        _set_bindings(self, bindings)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.bindings) == (other.context, other.bindings)
+
+    def __hash__(self):
+        return hash((self.context, self.bindings))
+
+    def __repr__(self):
+        return f"Workspace(context={self.context!r}, bindings={self.bindings!r})"
+
+
+# The slots' own setters, bound once: _Frozen.__setattr__ refuses every
+# write.
+_set_context = Workspace.context.__set__
+_set_bindings = Workspace.bindings.__set__
 
 
 # Keywords of the header lines.  A parameter so named would make its
@@ -103,6 +127,7 @@ def load_workspace(text: str) -> Workspace:
                 ctx = new_context(objects, tokens[1:])
             except SoftSetError as exc:
                 raise FormatError(str(exc), lineno) from None
+            offsets = ctx.parameter_offset
             continue
         if ctx is None:
             missing = "universe:" if objects is None else "parameters:"
@@ -125,7 +150,7 @@ def load_workspace(text: str) -> Workspace:
         if block_name is None:
             raise FormatError("image line outside a softset block", lineno)
         parameter = tokens[0][:-1]
-        shift = ctx.parameter_offset.get(parameter)
+        shift = offsets.get(parameter)
         if shift is None:
             raise FormatError(f"unknown parameter {parameter!r}", lineno)
         if parameter in block_seen:

@@ -4,12 +4,13 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import softsets
-from softsets import algebra, houses
+from softsets import algebra, cli, houses
 from softsets.cli import main
 from softsets.houses import (
     RENDERED_COMPLEMENT,
@@ -130,6 +131,63 @@ class TestShow:
         assert main(["show", str(marked)]) == 0
         assert capsys.readouterr() == expected
         assert expected.out.encode() == text and expected.err == ""
+
+
+EMPTY_IMAGE = "universe: a b\nparameters: e1 e2\nsoftset F:\n  e1: a\n  e2:\n"
+
+
+class TestWarnings:
+    """The loader's empty-image warning reaches the user as the CLI's own
+    stderr line; exit code and stdout are those of the file without
+    that line."""
+
+    @pytest.mark.parametrize("argv", [["eval", "{}", "F^c"], ["show", "{}"]], ids=["eval", "show"])
+    def test_empty_image_is_one_warning_line(self, tmp_path, capsys, argv):
+        warned, plain = tmp_path / "warned.sset", tmp_path / "plain.sset"
+        warned.write_text(EMPTY_IMAGE)
+        plain.write_text(EMPTY_IMAGE.replace("  e2:\n", ""))
+        assert main([arg.format(plain) for arg in argv]) == 0
+        expected = capsys.readouterr().out
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main([arg.format(warned) for arg in argv]) == 0
+        assert leaked == []
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == "warning: line 5: dropping empty image for parameter 'e2'\n"
+
+    def test_library_callers_keep_the_user_warning(self):
+        with pytest.warns(UserWarning, match="line 5: dropping empty image"):
+            cli.load_workspace(EMPTY_IMAGE)
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_is_reused_without_changing_any_outcome(houses_file, capsys):
+    calls = [
+        ["eval", houses_file, "F & G"],
+        ["eval", houses_file],  # usage error
+        ["--help"],
+        ["check-laws", "--law", "involution"],
+        ["eval", houses_file, "F ? G"],  # lex error
+        ["eval", houses_file, "F & G"],
+    ]
+    first = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        first.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 2, 0]
+    parser = cli._build_parser()
+    assert [_outcome(capsys, argv) for argv in calls] == first
+    assert cli._build_parser() is parser
 
 
 class TestCheckLaws:
@@ -287,6 +345,32 @@ def test_module_entry_point(houses_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == RENDERED_INTERSECTION
+
+
+# Modules that ``import softsets.cli`` must not load: the CLI imports the
+# law catalog (and the dataclasses of its reports) only for check-laws,
+# and the bundled example only for paper-example.
+LAZY_MODULES = ("dataclasses", "inspect", "importlib.resources", "softsets.laws", "softsets.houses")
+
+START_UP = f"""\
+import sys
+import softsets.cli
+print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))
+print(softsets.cli.main(["check-laws", "--law", "involution"]))
+print(softsets.cli.main(["paper-example"]))
+"""
+
+
+def test_start_up_imports_no_laws_houses_or_dataclasses():
+    # -S keeps site-wide .pth imports out of the check.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("\n")
+    assert lines[0] == "[]"
+    assert lines[1:3] == ["involution: random, 1000 cases, PASS", "0"]
+    assert proc.stdout.endswith("all fixtures match\n0\n")
 
 
 def _child_env() -> dict:
