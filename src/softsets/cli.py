@@ -196,6 +196,10 @@ def _cmd_paper_example(args: argparse.Namespace) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "expression", None) == []:
+        # argparse (Python 3.11 at least) reads a "--" that follows both
+        # the "--" separator and the workspace as [], not as text.
+        args.expression = "--"
     try:
         return args.func(args)
     except (LexError, ParseError, UnboundName) as exc:

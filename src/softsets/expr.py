@@ -101,34 +101,18 @@ class Token(_Frozen):
         _set_line(self, line)
         _set_column(self, column)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.text, self.line, self.column) == (
-            other.kind, other.text, other.line, other.column
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.text, self.line, self.column))
-
-    def __repr__(self):
-        return (
-            f"Token(kind={self.kind!r}, text={self.text!r}, "
-            f"line={self.line!r}, column={self.column!r})"
-        )
-
 
 class _Node(_Frozen):
     """Base of expression and formula nodes.
 
-    Each node class lists its fields in ``_fields`` (and
-    ``__match_args__``), in constructor order.  Trees may be far deeper
-    than the recursion limit (a 3,000-term chain parses into a tree
-    3,000 deep), so ``==``, ``hash`` and ``repr`` walk them with explicit
-    stacks instead of recursing."""
+    Each node class lists its fields in ``__match_args__``, in
+    constructor order, and pickles and copies through ``_Frozen``.
+    Trees may be far deeper than the recursion limit (a 3,000-term chain
+    parses into a tree 3,000 deep), so nodes override ``_Frozen``'s
+    ``==``, ``hash`` and ``repr`` with ones that walk the tree with
+    explicit stacks instead of recursing."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     def _key(self) -> tuple:
         """The tree as one flat tuple, in post-order: each node's type,
@@ -165,7 +149,7 @@ class _Node(_Frozen):
                 parts.append(item)
                 continue
             pieces: list = [f"{type(item).__name__}("]
-            for i, name in enumerate(item._fields):
+            for i, name in enumerate(item.__match_args__):
                 value = getattr(item, name)
                 separator = ", " if i else ""
                 pieces += [separator, f"{name}=", value if isinstance(value, _Node) else repr(value)]
@@ -184,7 +168,7 @@ class _Binary(_Node):
     """A node with two children: a binary operator, or a Formula."""
 
     __slots__ = ("left", "right")
-    __match_args__ = _fields = ("left", "right")
+    __match_args__ = ("left", "right")
 
     left: Expr | Formula
     right: Expr | Formula
@@ -196,7 +180,7 @@ class _Binary(_Node):
 
 class Name(Expr):
     __slots__ = ("identifier",)
-    __match_args__ = _fields = ("identifier",)
+    __match_args__ = ("identifier",)
 
     identifier: str
 
@@ -216,7 +200,7 @@ class Universal(Expr):
 
 class Complement(Expr):
     __slots__ = ("child",)
-    __match_args__ = _fields = ("child",)
+    __match_args__ = ("child",)
 
     child: Expr
 
@@ -241,7 +225,7 @@ class Formula(_Binary):
     a connective (``and``, ``=>``, ``<=>``) between two formulas."""
 
     __slots__ = ("op",)
-    __match_args__ = _fields = ("op", "left", "right")
+    __match_args__ = ("op", "left", "right")
 
     op: str
 

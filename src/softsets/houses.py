@@ -9,7 +9,7 @@ a bug in rendering cannot mask a bug in the algebra (or vice versa).
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from . import algebra
 from .model import Context, SoftSet, new_context, soft_set
@@ -77,7 +77,10 @@ def houses_workspace() -> Workspace:
 
 
 def bundled_workspace_text() -> str:
-    return (resources.files("softsets") / "data" / "houses.sset").read_text("utf-8")
+    """The bundled ``houses.sset``, installed next to this module."""
+    path = os.path.join(os.path.dirname(__file__), "data", "houses.sset")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 # Frozen expected results.  Structured and rendered forms are maintained

@@ -32,9 +32,9 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from typing import Callable, Iterator
 
 from . import algebra, expr
 from .errors import DEFAULT_CAP, ContextMismatch, EnumerationTooLarge

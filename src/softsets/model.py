@@ -78,8 +78,13 @@ class _Frozen:
     slots' own setters bound at module level; any later assignment or
     deletion raises ``FrozenInstanceError``, as a frozen dataclass does.
     The exception is imported when raised, which keeps ``dataclasses``
-    out of the import of ``softsets.cli``.  Instances pickle and copy
-    by calling the class again with their fields."""
+    out of the import of ``softsets.cli``.
+
+    Equality, hashing, the dataclass-form ``repr`` and pickling (and so
+    copying) all read the fields that ``__match_args__`` lists: values
+    of the same class are equal when their fields are, and they pickle
+    by calling the class again with their fields.  A subclass may
+    override any of these, as the expression nodes do for deep trees."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -94,14 +99,32 @@ class _Frozen:
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__name__}({fields})"
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+        return self.__class__, self._values()
 
 
 class Context(_Frozen):
     """Shared frame for soft sets: an ordered universe of objects plus an
     ordered parameter space.  Declaration order is the canonical order used
     by every rendering.  Immutable; equal contexts are interchangeable.
+
+    Duplicate and empty identifier strings are rejected.  A fully empty
+    context is legal; a context with parameters but no objects is not.
 
     ``full_mask`` (bitmask of the whole universe) and ``full_bits``
     (packed bits of the universal soft set: every mask full) are
@@ -168,14 +191,6 @@ class Context(_Frozen):
             _set_parameter_offset(self, offset)
             return offset
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.objects, self.parameters) == (other.objects, other.parameters)
-
-    def __hash__(self):
-        return hash((self.objects, self.parameters))
-
     def object_mask(self, names: Iterable[str]) -> int:
         bit = self.object_bit
         mask = 0
@@ -203,13 +218,8 @@ _set_object_bit = Context._object_bit.__set__
 _set_parameter_offset = Context._parameter_offset.__set__
 
 
-def new_context(objects: Sequence[str], parameters: Sequence[str]) -> Context:
-    """Build a context, rejecting duplicates and empty identifier strings.
-
-    Declaration order becomes the canonical order.  A fully empty context
-    is legal; a context with parameters but no objects is not.
-    """
-    return Context(tuple(objects), tuple(parameters))
+# The constructor under its older public name.
+new_context = Context
 
 
 class SoftSet(_Frozen):
@@ -242,15 +252,6 @@ class SoftSet(_Frozen):
             )
         _set_context(self, context)
         _set_bits(self, bits)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # A tuple compares identical contexts by identity, without a call.
-        return (self.bits, self.context) == (other.bits, other.context)
-
-    def __hash__(self):
-        return hash((self.context, self.bits))
 
     @classmethod
     def from_masks(cls, context: Context, masks: Iterable[int]) -> "SoftSet":

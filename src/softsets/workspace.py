@@ -61,17 +61,6 @@ class Workspace(_Frozen):
         _set_context(self, context)
         _set_bindings(self, bindings)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.context, self.bindings) == (other.context, other.bindings)
-
-    def __hash__(self):
-        return hash((self.context, self.bindings))
-
-    def __repr__(self):
-        return f"Workspace(context={self.context!r}, bindings={self.bindings!r})"
-
 
 # The slots' own setters, bound once: _Frozen.__setattr__ refuses every
 # write.

@@ -1,5 +1,7 @@
 """Command-line behavior: output, exit codes, determinism."""
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -8,6 +10,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import softsets
 from softsets import algebra, cli, houses
@@ -18,6 +22,7 @@ from softsets.houses import (
     bundled_workspace_text,
     houses_workspace,
 )
+from softsets.laws import law_catalog
 from softsets.workspace import render_soft_set, render_workspace
 
 
@@ -79,6 +84,12 @@ class TestEval:
         bad.write_text("universe: x1\nparameters: e1\nsoftset F:\n  e9: x1\n")
         assert main(["eval", str(bad), "F"]) == 3
         assert "line 4" in capsys.readouterr().err
+
+    def test_double_dash_after_the_separator_is_the_expression(self, houses_file, capsys):
+        # argparse (Python 3.11 at least) reads this "--" as [], not as text
+        for argv in (["eval", houses_file, "--", "--"], ["eval", "--", houses_file, "--"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: 1:1: unexpected token '-'\n"
 
     @pytest.mark.parametrize(
         "expression",
@@ -323,6 +334,136 @@ class TestUsageErrors:
         assert exc_info.value.code == 2
 
 
+# The exit-code contract, fuzzed: whatever the input, main returns 0, 1,
+# 2 or 3, only argparse's usage error escapes it (as SystemExit(2)), an
+# exit 0 writes nothing to stderr but warning lines, and an exit 2 or 3
+# ends stderr with its error line.
+
+HOUSES_BYTES = (Path(__file__).resolve().parent.parent / "fixtures" / "houses.sset").read_bytes()
+
+# What insertions into a workspace file draw from: a byte-order mark, a
+# NUL, bytes that are not UTF-8, whitespace that str.split() splits on,
+# and pieces of the format.
+FILE_PIECES = (
+    b"\xef\xbb\xbf", b"\x00", b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xc2\xa0", b"\xe2\x80\xa8",
+    b"\n", b" ", b"\t", b"\r", b"#", b":", b"softset F:", b"softset H:\n", b"universe:",
+    b"parameters:", b"  e1:", b" h9", b" e9", b"EMPTY",
+)
+
+EXPRESSION_PIECES = (
+    "F", "G", "Q", "EMPTY", "UNIVERSAL", "and", "&", "|", "-", "\\", "^c", "^", "(", ")",
+    "=", "<=", "=>", "<=>", " ", "\n", "?", "--",
+)
+
+
+@st.composite
+def workspace_bytes(draw):
+    data = HOUSES_BYTES
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(("delete", "insert", "repeat line", "empty line")))
+        if edit == "delete":
+            start = draw(st.integers(0, len(data)))
+            data = data[:start] + data[start + draw(st.integers(1, 20)):]
+        elif edit == "insert":
+            at = draw(st.integers(0, len(data)))
+            piece = draw(st.sampled_from(FILE_PIECES) | st.binary(min_size=1, max_size=4))
+            data = data[:at] + piece + data[at:]
+        else:
+            lines = data.split(b"\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = [lines[k]] * 2 if edit == "repeat line" else [b""]
+            data = b"\n".join(lines)
+    return data
+
+
+well_formed = st.recursive(
+    st.sampled_from(("F", "G", "EMPTY", "UNIVERSAL")),
+    lambda inner: st.tuples(inner, st.sampled_from((" & ", " | ", " - ", "\\")), inner).map("".join)
+    | inner.map(lambda e: f"({e})^c"),
+    max_leaves=8,
+)
+
+# Free text leaves out 'h': an argument starting "-h" or "--h" asks
+# argparse for its help, which exits 0 by design.
+expressions = st.one_of(
+    well_formed,
+    st.lists(st.sampled_from(EXPRESSION_PIECES), max_size=12).map("".join),
+    st.text(st.characters(exclude_characters="h"), max_size=12),
+    st.text(st.characters(exclude_characters="h"), max_size=6).map(lambda t: "-" + t),
+)
+
+
+def _run_main(argv):
+    """main's exit code and stderr; SystemExit counts as its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, f"SystemExit({exc.code!r}) escaped main"
+            code = 2
+    return code, err.getvalue()
+
+
+def _assert_contract(argv, code, err):
+    assert code in (0, 1, 2, 3), (argv, code)
+    lines = err.rstrip("\n").split("\n") if err else []
+    if code == 0:
+        assert all(line.startswith("warning: ") for line in lines), (argv, err)
+    elif code in (2, 3):
+        assert lines and "error:" in lines[-1], (argv, code, err)
+
+
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@FUZZ
+@given(data=workspace_bytes(), expression=expressions, shape=st.integers(0, 3), where=st.integers(0, 7))
+def test_fuzzed_eval_and_show_keep_the_exit_code_contract(tmp_path, data, expression, shape, where):
+    workspace = tmp_path / "fuzzed.sset"
+    workspace.write_bytes(data)
+    # mostly the fuzzed file; sometimes a directory or a missing file
+    path = str({6: tmp_path, 7: tmp_path / "missing.sset"}.get(where, workspace))
+    argv = (
+        ["eval", path, expression],
+        ["eval", path, "--", expression],
+        ["eval", "--", path, expression],
+        ["show", path],
+    )[shape]
+    _assert_contract(argv, *_run_main(argv))
+
+
+LAW_IDS = tuple(law.id for law in law_catalog()) + ("no-such-law",)
+
+
+@st.composite
+def check_laws_argv(draw):
+    argv = ["check-laws"]
+    modes = ([], ["--exhaustive"], ["--exhaustive"], ["--random"], ["--exhaustive", "--random"])
+    argv += draw(st.sampled_from(modes))
+    argv += ["--trials", str(draw(st.integers(1, 50)))]
+    options = (
+        ("--universe", st.integers(0, 4)),
+        ("--params", st.integers(0, 4)),
+        ("--seed", st.integers(-3, 3)),
+        ("--cap", st.integers(1, 5000)),
+    )
+    for flag, values in options:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    for law_id in draw(st.lists(st.sampled_from(LAW_IDS), max_size=3)):
+        argv += ["--law", law_id]
+    return argv
+
+
+@FUZZ
+@given(argv=check_laws_argv())
+def test_fuzzed_check_laws_keeps_the_exit_code_contract(argv):
+    _assert_contract(argv, *_run_main(argv))
+
+
 @pytest.mark.parametrize("module", ["softsets", "softsets.cli"])
 def test_module_entry_points_report_errors(houses_file, module):
     proc = subprocess.run(
@@ -350,7 +491,15 @@ def test_module_entry_point(houses_file):
 # Modules that ``import softsets.cli`` must not load: the CLI imports the
 # law catalog (and the dataclasses of its reports) only for check-laws,
 # and the bundled example only for paper-example.
-LAZY_MODULES = ("dataclasses", "inspect", "importlib.resources", "softsets.laws", "softsets.houses")
+LAZY_MODULES = (
+    "dataclasses",
+    "inspect",
+    "importlib.resources",
+    "typing",
+    "pathlib",
+    "softsets.laws",
+    "softsets.houses",
+)
 
 START_UP = f"""\
 import sys
@@ -358,6 +507,7 @@ import softsets.cli
 print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))
 print(softsets.cli.main(["check-laws", "--law", "involution"]))
 print(softsets.cli.main(["paper-example"]))
+print(sorted(m for m in ("importlib.resources", "pathlib") if m in sys.modules))
 """
 
 
@@ -370,7 +520,17 @@ def test_start_up_imports_no_laws_houses_or_dataclasses():
     lines = proc.stdout.split("\n")
     assert lines[0] == "[]"
     assert lines[1:3] == ["involution: random, 1000 cases, PASS", "0"]
-    assert proc.stdout.endswith("all fixtures match\n0\n")
+    # paper-example reads the bundled file without importlib.resources
+    assert proc.stdout.endswith("all fixtures match\n0\n[]\n")
+
+
+def test_law_catalog_imports_no_typing():
+    code = "import sys, softsets.laws; print('typing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _child_env() -> dict:

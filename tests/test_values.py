@@ -1,7 +1,8 @@
-"""Value semantics of the hand-written frozen classes on the import path
-of ``softsets.cli``: ``Token``, the expression and formula nodes,
-``Context`` and ``Workspace``.  Each behaves as the frozen dataclass it
-replaced: the same ``repr``, ``==``, ``hash`` and ``__match_args__``,
+"""Value semantics of the hand-written frozen classes (every subclass of
+``model._Frozen``): ``Token``, the expression and formula nodes,
+``Context``, ``SoftSet`` and ``Workspace``.  Each behaves as a frozen
+dataclass: the dataclass ``repr`` (``Context`` and ``SoftSet`` keep
+their own), ``==``, ``hash`` and ``__match_args__``,
 ``FrozenInstanceError`` on assignment and deletion, and round trips
 through pickle and copy."""
 
@@ -15,14 +16,17 @@ from softsets.expr import (
     Complement,
     Difference,
     Empty,
+    Expr,
     Formula,
     Intersect,
     Name,
     Token,
     Union,
     Universal,
+    _Binary,
+    _Node,
 )
-from softsets.model import Context, new_context, soft_set
+from softsets.model import Context, SoftSet, _Frozen, new_context, soft_set
 from softsets.workspace import Workspace
 
 CTX = new_context(("x1", "x2"), ("e1",))
@@ -36,7 +40,8 @@ def _workspace(ctx=CTX, **images):
 
 
 # (value, an equal value built apart, an unequal value of the same
-# class, the repr of the frozen dataclass the class replaced)
+# class, its repr: the frozen dataclass form, except for Context and
+# SoftSet)
 CASES = {
     "Token": (
         Token("NAME", "F", 1, 2),
@@ -83,6 +88,12 @@ CASES = {
         OTHER_CTX,
         "Context(objects=['x1', 'x2'], parameters=['e1'])",
     ),
+    "SoftSet": (
+        soft_set(CTX, [("e1", ["x2"])]),
+        soft_set(new_context(["x1", "x2"], ["e1"]), [("e1", ["x2"])]),
+        soft_set(CTX, [("e1", ["x1"])]),
+        "SoftSet({e1: x2})",
+    ),
     "Workspace": (
         _workspace(F=["x2"]),
         _workspace(F=["x2"]),
@@ -103,6 +114,7 @@ MATCH_ARGS = {
     "Difference": ("left", "right"),
     "Formula": ("op", "left", "right"),
     "Context": ("objects", "parameters"),
+    "SoftSet": ("context", "bits"),
     "Workspace": ("context", "bindings"),
 }
 
@@ -127,8 +139,20 @@ def test_match_args_are_the_fields(case):
     name, value, *_ = case
     assert type(value).__name__ == name
     assert type(value).__match_args__ == MATCH_ARGS[name]
-    if name in NODES:
-        assert type(value)._fields == MATCH_ARGS[name]
+
+
+# Bases that are never instantiated, so they have no case of their own.
+ABSTRACT = (_Node, Expr, _Binary)
+
+
+def test_every_frozen_class_has_a_case():
+    classes, stack = set(), [_Frozen]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            classes.add(sub)
+            stack.append(sub)
+    missing = {cls.__name__ for cls in classes if cls not in ABSTRACT} - set(CASES)
+    assert not missing
 
 
 def test_equality(case):
