@@ -18,7 +18,8 @@ a soft set over a chunk frame of n·w bits, and every operation is
 bitwise, so ``softsets.algebra`` itself evaluates all w tuples in one
 call.  Exhaustive checking takes the chunks from the enumeration,
 random checking draws them (``_random_chunk``, at the fixed
-``DEFINED_DENSITY`` and ``MEMBER_DENSITY``).  A law written as text
+``DEFINED_DENSITY`` and ``MEMBER_DENSITY``) in rounds, one member
+plane for every image still empty per round.  A law written as text
 evaluates them bit-sliced (``FormulaCheck.failures``); any other check
 gets the same tuples one at a time, mapped over the enumeration's
 ``itertools.product`` or transposed from the random chunks.  A single
@@ -237,44 +238,33 @@ def _random_chunk(
     ctx: Context, width: int, rng: random.Random, defined_density: float, member_density: float
 ) -> int:
     """Random soft sets for ``width`` trials, as one chunk: bit t of
-    block j (bits j·width and up) is packed bit j of trial t's soft set.
+    block j (bits j·width and up) is packed bit j of trial t's soft set,
+    so each parameter's image is a run of |U| blocks, one per object.
 
     One draw gives every parameter's plane of the trials that define it,
-    and one more the images of every parameter, a block per object,
-    parameter i's image at bits i·|U|·width and up.  Over that whole
-    draw at once, shifts spread each defined plane over its image's
-    blocks and fold each image back onto its first block
-    (``_or_windows``), which finds the defined trials whose image came
-    out empty for every parameter in one test.  Only a parameter with
-    such a trial then redraws its image, in parameter order, for those
-    trials alone, until each is nonempty: each trial's image is
-    resampled while empty, as one tuple at a time would be, with a round
-    of draws per parameter that needs it rather than per trial."""
+    put in block 0 of its image: these trials start out empty.  Each
+    round then draws one member plane for all images at once, shifts
+    spread the empty trials over their images' blocks to keep only their
+    bits (``_or_windows``), and shifts fold the kept bits back onto block
+    0 to find the trials that got a member, which are empty no more.
+    So each defined image is its first nonempty draw, resampled while
+    empty as one tuple at a time would be, and the rounds stop when no
+    trial of any parameter is empty."""
     n_objects, n_params = len(ctx.objects), len(ctx.parameters)
-    if not n_params:  # no bits to draw, and no universe to fold over
-        return 0
     image_bits = n_objects * width
-    # Each parameter's plane of defined trials, in block 0 of its image.
-    defined = _join(
-        _split(_bernoulli(rng, n_params * width, defined_density), n_params, width), image_bits
-    )
-    drawn = _bernoulli(rng, n_params * image_bits, member_density)
-    drawn &= _or_windows(defined, n_objects, width, operator.lshift)
-    # Block 0 of each image ORs in its |U| blocks; the other blocks mix
-    # two images and are masked off with ``defined``.
-    covered = _or_windows(drawn, n_objects, width, operator.rshift)
-    empty = covered & defined ^ defined
-    images = _split(drawn, n_params, image_bits)
-    if empty:  # redraw, in parameter order, for the trials still without a member
-        # A plane of trials times this repunit copies it into every object's block.
-        repunit = ((1 << image_bits) - 1) // ((1 << width) - 1)
-        for i, plane in enumerate(_split(empty, n_params, image_bits)):
-            while plane:
-                batch = _bernoulli(rng, image_bits, member_density)
-                images[i] |= batch & plane * repunit
-                plane &= ~_or_blocks(batch, n_objects, width)
-    # Object k of parameter i is packed bit |U|·(|E|-1-i) + k.
-    return _join(images[::-1], image_bits)
+    # Parameter i's defined plane is block i of the draw, and its image
+    # run |E|-1-i of the chunk: object k of it is packed bit |U|·(|E|-1-i) + k.
+    defined = _split(_bernoulli(rng, n_params * width, defined_density), n_params, width)
+    empty = _join(defined[::-1], image_bits)
+    chunk = 0
+    while empty:
+        batch = _bernoulli(rng, n_params * image_bits, member_density)
+        batch &= _or_windows(empty, n_objects, width, operator.lshift)
+        chunk |= batch
+        # Block 0 of each image ORs in its |U| blocks; the other blocks
+        # mix two images, and ``empty`` has no bits there.
+        empty ^= empty & _or_windows(batch, n_objects, width, operator.rshift)
+    return chunk
 
 
 def _transpose(wide: int, n: int, width: int, first: int = 0) -> Iterator[int]:
@@ -685,21 +675,6 @@ def check_random(law: Law, ctx: Context, trials: int, seed: int) -> CheckReport:
 # Shrinking
 
 
-# A frame cut from a valid one is built without checking its names
-# again (``Context._cut``); ``_reductions`` drops an object only while the
-# universe stays nonempty or there are no parameters.
-
-
-def _drop_parameter(ctx: Context, j: int) -> Context:
-    parameters = ctx.parameters[:j] + ctx.parameters[j + 1 :]
-    return Context._cut(ctx.objects, parameters)
-
-
-def _drop_object(ctx: Context, k: int) -> Context:
-    objects = ctx.objects[:k] + ctx.objects[k + 1 :]
-    return Context._cut(objects, ctx.parameters)
-
-
 def _squeeze_bit(mask: int, k: int) -> int:
     low = mask & ((1 << k) - 1)
     return (mask >> (k + 1)) << k | low
@@ -717,9 +692,12 @@ def _reductions(
     full = ctx.full_mask
     offsets = [n_objects * (n_params - 1 - j) for j in range(n_params)]
 
-    # Drop a parameter from the frame entirely: splice its block out.
+    # Drop a parameter from the frame entirely: splice its block out.  A
+    # frame cut from a valid one is built without checking its names
+    # again (``Context._cut``); an object is dropped below only while the
+    # universe stays nonempty or there are no parameters.
     for j, offset in enumerate(offsets):
-        smaller = _drop_parameter(ctx, j)
+        smaller = Context._cut(ctx.objects, ctx.parameters[:j] + ctx.parameters[j + 1 :])
         low = (1 << offset) - 1
         yield smaller, tuple(
             SoftSet(smaller, a.bits >> offset + n_objects << offset | a.bits & low)
@@ -739,7 +717,7 @@ def _reductions(
     if n_objects > 1 or n_params == 0:
         arg_masks = [a.masks for a in args]
         for k in range(n_objects):
-            smaller = _drop_object(ctx, k)
+            smaller = Context._cut(ctx.objects[:k] + ctx.objects[k + 1 :], ctx.parameters)
             yield smaller, tuple(
                 SoftSet.from_masks(smaller, (_squeeze_bit(m, k) for m in masks))
                 for masks in arg_masks

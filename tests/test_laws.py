@@ -38,8 +38,6 @@ from softsets.laws import (
     shrink,
     soft_set_count,
     _bernoulli,
-    _join,
-    _or_blocks,
     _random_chunk,
     _random_soft_set,
     _reductions,
@@ -226,10 +224,12 @@ def _expected_frequencies(ctx, dd, md):
 
 
 class TestPlaneGenerator:
-    @pytest.mark.parametrize("dd,md", [(0.6, 0.5), (0.75, 0.3), (0.5, 0.9)])
+    @pytest.mark.parametrize("dd,md", [(0.6, 0.5), (0.75, 0.3), (0.5, 0.9), (0.6, 0.05)])
     def test_soft_set_frequencies(self, ctx32, dd, md):
         # chi-squared over the 64 soft sets at 3 x 2 (63 degrees of
-        # freedom; 110 is exceeded with probability about 2e-4)
+        # freedom; 110 is exceeded with probability about 2e-4); at
+        # member density 0.05 about 86% of first draws are empty, so most
+        # images come from later rounds
         n = 200_000
         counts = Counter(_draw(ctx32, n, 0, dd, md))
         expected = _expected_frequencies(ctx32, dd, md)
@@ -288,23 +288,35 @@ class TestPlaneGenerator:
 
 
 def _reference_random_chunk(ctx, width, rng, defined_density, member_density):
-    """The chunk generator as it was before the one-pass emptiness test:
-    each parameter's first draw ORed over its objects on its own."""
+    """The chunk generator's rounds read cell by cell.  Parameter i's
+    defined plane is block i of the first draw, and its image run
+    |E|-1-i of the chunk.  Each round's member plane covers every
+    run; a (parameter, trial) still empty takes its |U| bits from it,
+    every width-th digit of the plane from the cell's first, and is
+    empty no more once one of them is set."""
     n_objects, n_params = len(ctx.objects), len(ctx.parameters)
     image_bits = n_objects * width
-    defined = _split(_bernoulli(rng, n_params * width, defined_density), n_params, width)
-    drawn = _split(_bernoulli(rng, n_params * image_bits, member_density), n_params, image_bits)
-    repunit = ((1 << image_bits) - 1) // ((1 << width) - 1)
-    images = []
-    for empty, batch in zip(defined, drawn):
-        image = 0
-        while empty:
-            image |= batch & empty * repunit
-            empty &= ~_or_blocks(batch, n_objects, width)
-            if empty:
-                batch = _bernoulli(rng, image_bits, member_density)
-        images.append(image)
-    return _join(images[::-1], image_bits)
+
+    def digits(wide, n_bits):  # bit b of ``wide`` at index b
+        return format(wide, f"0{n_bits}b")[::-1] if n_bits else ""
+
+    defined = digits(_bernoulli(rng, n_params * width, defined_density), n_params * width)
+    empty = [
+        (i, t) for i in range(n_params) for t in range(width)
+        if defined[i * width + t] == "1"
+    ]
+    chunk = ["0"] * (n_params * image_bits)
+    while empty:
+        plane = digits(_bernoulli(rng, n_params * image_bits, member_density), n_params * image_bits)
+        still_empty = []
+        for i, t in empty:
+            cell = slice((n_params - 1 - i) * image_bits + t, (n_params - i) * image_bits, width)
+            if "1" in plane[cell]:
+                chunk[cell] = plane[cell]
+            else:
+                still_empty.append((i, t))
+        empty = still_empty
+    return int("".join(reversed(chunk)) or "0", 2)
 
 
 def _reference_transpose(wide, n, width):
@@ -326,21 +338,20 @@ STREAM_DENSITIES = [(0.6, 0.5), (0.1, 0.05), (1.0, 1.0), (0.3, 0.9)]
 
 @pytest.mark.parametrize("n_objects, n_params", STREAM_FRAMES)
 def test_random_stream_matches_the_reference(n_objects, n_params):
-    # The same chunks, trials and generator state afterwards, so every
-    # random report stays as it was.  Transposing a 40 x 40 chunk the
-    # reference way takes about 20 ms at the widest width, so that frame
-    # compares trials for the first four seeds only.
+    # The same chunks, trials and generator state afterwards.  Reading a
+    # 40 x 40 chunk cell by cell takes about 1 s over all widths and
+    # densities, and transposing it the reference way about 20 ms at the
+    # widest width, so that frame draws from the first four seeds only.
     ctx = frame(n_objects, n_params)
     n = n_objects * n_params
-    transposed_seeds = range(4) if n > 1000 else range(20)
-    for width, (dd, md), seed in itertools.product(STREAM_WIDTHS, STREAM_DENSITIES, range(20)):
+    seeds = range(4) if n > 1000 else range(20)
+    for width, (dd, md), seed in itertools.product(STREAM_WIDTHS, STREAM_DENSITIES, seeds):
         rng, reference = random.Random(seed), random.Random(seed)
         chunk = _random_chunk(ctx, width, rng, dd, md)
         assert chunk == _reference_random_chunk(ctx, width, reference, dd, md), (width, dd, md, seed)
         assert rng.getstate() == reference.getstate(), (width, dd, md, seed)
-        if seed in transposed_seeds:
-            trials = list(_transpose(chunk, n, width))
-            assert trials == list(_reference_transpose(chunk, n, width)), (width, dd, md, seed)
+        trials = list(_transpose(chunk, n, width))
+        assert trials == list(_reference_transpose(chunk, n, width)), (width, dd, md, seed)
 
 
 class TestCheckExhaustive:
@@ -502,7 +513,7 @@ class TestSlicedChecking:
     def test_difference_monotonicity_is_refuted(self, ctx22, ctx33):
         law = BROKEN_LAWS[-1]
         assert check_exhaustive(law, ctx22).cases == 4354
-        assert check_random(law, ctx33, trials=1000, seed=0).cases == 549
+        assert check_random(law, ctx33, trials=1000, seed=0).cases == 349
 
     def test_exhaustive_checking_imports_no_numpy(self, tmp_path):
         # numpy is a test-only dependency: after an exhaustive check and
