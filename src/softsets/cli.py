@@ -26,18 +26,18 @@ from .workspace import Workspace, load_workspace, render_soft_set, render_worksp
 __all__ = ["main", "run"]
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low: int, message: str):
+    """An argparse type: an int of at least ``low``, else ``message``.
+    It is named ``int``, so a non-integer reads ``invalid int value``."""
 
+    def int_(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
-    return value
+    int_.__name__ = "int"
+    return int_
 
 
 # One parser per process: parsing never changes it, so repeated calls
@@ -74,15 +74,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check seeded random argument tuples (default)",
     )
     p_check.add_argument(
-        "--universe", type=_nonnegative, default=4, metavar="N",
+        "--universe", type=_int_at_least(0, "must not be negative"), default=4, metavar="N",
         help="number of objects in the generated context (default 4)",
     )
     p_check.add_argument(
-        "--params", type=_nonnegative, default=3, metavar="N",
+        "--params", type=_int_at_least(0, "must not be negative"), default=3, metavar="N",
         help="number of parameters in the generated context (default 3)",
     )
     p_check.add_argument(
-        "--trials", type=_positive, default=1000, metavar="N",
+        "--trials", type=_int_at_least(1, "must be at least 1"), default=1000, metavar="N",
         help="random trials per law (default 1000)",
     )
     p_check.add_argument(
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed for random mode (default 0)",
     )
     p_check.add_argument(
-        "--cap", type=_positive, default=DEFAULT_CAP, metavar="N",
+        "--cap", type=_int_at_least(1, "must be at least 1"), default=DEFAULT_CAP, metavar="N",
         help=f"largest tuple count allowed in exhaustive mode (default {DEFAULT_CAP})",
     )
     p_check.add_argument(
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> Workspace:
     """Load a workspace file, printing each of the loader's warnings
     (empty image lines) as a ``warning:`` line on standard error."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

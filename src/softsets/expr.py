@@ -198,9 +198,13 @@ class Universal(Expr):
     __slots__ = ()
 
 
+# Each operation node names its function in ``softsets.algebra``, and a
+# binary one also its symbol and precedence level (``|`` binds loosest).
+# They are class attributes, not fields: ``__match_args__`` lists none.
 class Complement(Expr):
     __slots__ = ("child",)
     __match_args__ = ("child",)
+    function = "complement"
 
     child: Expr
 
@@ -210,14 +214,17 @@ class Complement(Expr):
 
 class Intersect(_Binary, Expr):
     __slots__ = ()
+    function, symbol, level = "intersection", "&", 2
 
 
 class Union(_Binary, Expr):
     __slots__ = ()
+    function, symbol, level = "union", "|", 1
 
 
 class Difference(_Binary, Expr):
     __slots__ = ()
+    function, symbol, level = "difference", "-", 2
 
 
 class Formula(_Binary):
@@ -436,9 +443,13 @@ def fold(ast: Expr | Formula, combine: Callable):
 
 
 def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
-    """Evaluate bottom-up, delegating each operator to the algebra."""
+    """Evaluate bottom-up, calling each operation node's ``function`` of
+    ``softsets.algebra``, looked up at each call."""
 
     def combine(node: Expr, *values: SoftSet) -> SoftSet:
+        function = getattr(node, "function", None)
+        if function:
+            return getattr(algebra, function)(*values)
         if isinstance(node, Name):
             if node.identifier not in env:
                 raise UnboundName(node.identifier)
@@ -452,22 +463,13 @@ def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
             return empty_soft_set(ctx)
         if isinstance(node, Universal):
             return universal_soft_set(ctx)
-        if isinstance(node, Complement):
-            return algebra.complement(*values)
-        if isinstance(node, Intersect):
-            return algebra.intersection(*values)
-        if isinstance(node, Union):
-            return algebra.union(*values)
-        if isinstance(node, Difference):
-            return algebra.difference(*values)
         raise TypeError(f"not an expression node: {node!r}")
 
     return fold(ast, combine)
 
 
-# Symbol and precedence level of each binary operator; ``^c`` binds
-# tighter, and atoms tightest.
-_OPERATORS = {Union: ("|", 1), Intersect: ("&", 2), Difference: ("-", 2)}
+# Precedence levels above the binary operators' own ``level``: ``^c``
+# binds tighter, and atoms tightest.
 _POSTFIX = 3
 _ATOM = 4
 
@@ -494,9 +496,9 @@ def render(ast: Expr) -> str:
             return "UNIVERSAL", _ATOM
         if isinstance(node, Complement):
             return f"{wrap(parts[0], _POSTFIX)}^c", _POSTFIX
-        if type(node) in _OPERATORS:
-            symbol, level = _OPERATORS[type(node)]
-            return f"{wrap(parts[0], level)} {symbol} {wrap(parts[1], level + 1)}", level
+        if hasattr(node, "symbol"):
+            level = node.level
+            return f"{wrap(parts[0], level)} {node.symbol} {wrap(parts[1], level + 1)}", level
         raise TypeError(f"not an expression node: {node!r}")
 
     return fold(ast, combine)[0]

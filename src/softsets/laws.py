@@ -113,8 +113,9 @@ def soft_set_count(ctx: Context) -> int:
 
 def _exceeds(n_bits: int, cap: int) -> bool:
     """Whether 2**n_bits exceeds cap.  Comparing bit lengths never builds
-    the power, which for a large frame has millions of digits."""
-    return n_bits >= cap.bit_length()
+    the power, which for a large frame has millions of digits; every
+    power exceeds a negative cap."""
+    return cap < 0 or n_bits >= cap.bit_length()
 
 
 def check_cap(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> None:
@@ -383,16 +384,22 @@ class FormulaCheck:
         index = {name: i for i, name in enumerate(arg_names)}
         names = set()
         # A run's values are the arguments, then one value per step.  A
-        # step is (kind, a, b): the name of a node's class or a formula's
-        # operator, and the values of its operands.
+        # step is (kind, a, b): an operation node's algebra function (the
+        # kinds in ``operations``), a formula's operator or a constant's
+        # class name, and the values of its operands.
         steps: list[tuple[str, int, int | None]] = []
+        operations = set()
 
         def step(node, a=None, b=None) -> int | None:
             """The node's value: an argument's, or that of a new step."""
             if isinstance(node, expr.Name):
                 names.add(node.identifier)
                 return index.get(node.identifier)
-            kind = node.op if isinstance(node, expr.Formula) else type(node).__name__
+            kind = getattr(node, "function", None)
+            if kind:
+                operations.add(kind)
+            else:
+                kind = node.op if isinstance(node, expr.Formula) else type(node).__name__
             steps.append((kind, a, b))
             return len(arg_names) + len(steps) - 1
 
@@ -400,6 +407,7 @@ class FormulaCheck:
         if sorted(names) != sorted(arg_names):  # also refuses a repeated argument
             raise ValueError(f"law {text!r} names {sorted(names)}, not the arguments {list(arg_names)}")
         self._steps = steps
+        self._operations = frozenset(operations)
         kind, hypothesis, _ = steps[-1]
         # The first value of the conclusion, where an implication stops
         # when no tuple meets its hypothesis.
@@ -430,17 +438,12 @@ class FormulaCheck:
         tuples that violate the law, bit t for tuple t, and the values of
         the run; an implication stops after its hypothesis when no tuple
         meets it.  The algebra is looked up at each call."""
-        ones, conclusion = _ones(width), self._conclusion
+        ones, conclusion, operations = _ones(width), self._conclusion, self._operations
         values = list(args)
         for kind, a, b in self._steps:
-            if kind == "Intersect":
-                value = algebra.intersection(values[a], values[b])
-            elif kind == "Union":
-                value = algebra.union(values[a], values[b])
-            elif kind == "Difference":
-                value = algebra.difference(values[a], values[b])
-            elif kind == "Complement":
-                value = algebra.complement(values[a])
+            if kind in operations:
+                function = getattr(algebra, kind)
+                value = function(values[a]) if b is None else function(values[a], values[b])
             # Relations compare bits as algebra.equals and algebra.subset
             # do; a & ~b is taken as (a | b) ^ b, which makes no negative
             # intermediate, slow on big integers.

@@ -343,14 +343,7 @@ class SoftSet(_Frozen):
         return algebra.subset(self, other)
 
     def __repr__(self):
-        ctx = self.context
-        objects = ctx.objects
-        parts = [
-            f"{name}: {' '.join(_members(objects, m))}"
-            for name, m in zip(ctx.parameters, self.masks)
-            if m
-        ]
-        return "SoftSet({" + "; ".join(parts) + "})"
+        return "SoftSet({" + "; ".join(_image_lines(self, "")) + "})"
 
 
 # The slots' own setters, bound once: SoftSet.__setattr__ refuses every
@@ -358,6 +351,18 @@ class SoftSet(_Frozen):
 # ``__init__`` and its range check.
 _set_context = SoftSet.context.__set__
 _set_bits = SoftSet.bits.__set__
+
+
+def _image_lines(s: SoftSet, indent: str) -> list[str]:
+    """One ``parameter: object object`` line per defined parameter, in
+    context order, each after ``indent``: the workspace format's image
+    lines, which ``SoftSet``'s repr also joins."""
+    ctx = s.context
+    return [
+        f"{indent}{name}: {' '.join(_members(ctx.objects, m))}"
+        for name, m in zip(ctx.parameters, s.masks)
+        if m
+    ]
 
 
 def _pack_pairs(

@@ -7,10 +7,11 @@ named soft sets.
       e2: h2 h3 h5
       e3: h2 h4
 
-`#` starts a comment running to the end of the line; blank lines are
-ignored; tokens are separated by runs of any whitespace that
-``str.split()`` recognises (spaces and tabs, but also characters such as
-U+00A0 or U+2028), and the indentation of image lines is cosmetic.
+One leading byte-order mark (U+FEFF) is dropped; `#` starts a comment
+running to the end of the line; blank lines are ignored; tokens are
+separated by runs of any whitespace that ``str.split()`` recognises
+(spaces and tabs, but also characters such as U+00A0 or U+2028), and the
+indentation of image lines is cosmetic.
 The two header lines are required, in that order, before the first
 `softset` block.  Rendering is canonical (context order everywhere, one
 parameter per line), so equal workspaces render byte-identically; it
@@ -24,7 +25,7 @@ from collections.abc import Mapping
 
 from .errors import ContextMismatch, FormatError, SoftSetError, UnknownObject
 from .expr import is_name
-from .model import Context, SoftSet, _Frozen, new_context
+from .model import Context, SoftSet, _Frozen, _image_lines, new_context
 
 # The loader packs its soft sets itself and never calls soft_set.  The
 # name stays bound because perfbench/tracing.py wraps
@@ -93,7 +94,7 @@ def load_workspace(text: str) -> Workspace:
             bindings[block_name] = SoftSet(ctx, block_bits)
             block_name = None
 
-    lines = text.split("\n")
+    lines = text.removeprefix("\ufeff").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -180,21 +181,6 @@ def _check_renderable(ctx: Context) -> None:
             raise ValueError(f"parameter name {name!r} cannot be rendered")
         if name in _HEADERS:
             raise ValueError(f"parameter name {name!r} collides with a header")
-
-
-def _image_lines(s: SoftSet, indent: str) -> list[str]:
-    ctx = s.context
-    n = len(ctx.objects)
-    # Parameter i holds characters i·|U| to (i+1)·|U| of the binary
-    # digits of s.bits; reversed, their character k is object k.
-    digits = format(s.bits, f"0{n * len(ctx.parameters)}b")
-    lines = []
-    for i, parameter in enumerate(ctx.parameters):
-        block = digits[i * n : (i + 1) * n][::-1]
-        if "1" in block:
-            members = " ".join(o for o, d in zip(ctx.objects, block) if d == "1")
-            lines.append(f"{indent}{parameter}: {members}")
-    return lines
 
 
 def render_workspace(ws: Workspace) -> str:

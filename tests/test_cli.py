@@ -333,6 +333,27 @@ class TestUsageErrors:
             main(["check-laws", "--universe", "-1"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--trials", "abc", "invalid int value: 'abc'"),
+            ("--trials", "0", "must be at least 1"),
+            ("--cap", "abc", "invalid int value: 'abc'"),
+            ("--cap", "0", "must be at least 1"),
+            ("--universe", "x", "invalid int value: 'x'"),
+            ("--universe", "-1", "must not be negative"),
+            ("--params", "x", "invalid int value: 'x'"),
+            ("--params", "-1", "must not be negative"),
+            ("--seed", "x", "invalid int value: 'x'"),
+        ],
+    )
+    def test_a_bad_count_reads_as_an_int_or_its_range(self, capsys, option, value, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["check-laws", option, value])
+        assert exc_info.value.code == 2
+        last = capsys.readouterr().err.rstrip("\n").split("\n")[-1]
+        assert last == f"softsets check-laws: error: argument {option}: {message}"
+
 
 # The exit-code contract, fuzzed: whatever the input, main returns 0, 1,
 # 2 or 3, only argparse's usage error escapes it (as SystemExit(2)), an

@@ -167,6 +167,14 @@ class TestEnumeration:
         with pytest.raises(EnumerationTooLarge):
             list(enumerate_soft_sets(ctx22, cap=15))
         assert len(list(enumerate_soft_sets(ctx22, cap=16))) == 16
+        # a negative cap refuses every count, the one soft set of the
+        # empty frame too; caps 0 and 1 admit nothing and one soft set
+        one, empty = new_context(("a",), ("p",)), new_context((), ())
+        for ctx, cap in [(one, -3), (one, -1), (empty, -1), (one, 0), (empty, 0), (one, 1)]:
+            with pytest.raises(EnumerationTooLarge):
+                list(enumerate_soft_sets(ctx, cap=cap))
+        assert len(list(enumerate_soft_sets(empty, cap=1))) == 1
+        assert len(list(enumerate_soft_sets(one, cap=2))) == 2
 
     def test_default_cap_rejects_five_by_five(self):
         ctx = new_context(tuple("abcde"), tuple("pqrst"))
@@ -359,6 +367,13 @@ class TestCheckExhaustive:
         assert check_exhaustive(lookup("involution"), ctx22).cases == 16
         assert check_exhaustive(lookup("demorgan-1"), ctx22).cases == 256
         assert check_exhaustive(lookup("associative-1"), ctx22).cases == 4096
+
+    def test_a_negative_cap_refuses_the_one_tuple_of_the_empty_frame(self):
+        law, ctx = lookup("identity-1"), new_context((), ())
+        for cap in (-5, -1, 0):
+            with pytest.raises(EnumerationTooLarge):
+                check_exhaustive(law, ctx, cap=cap)
+        assert check_exhaustive(law, ctx, cap=1).cases == 1
 
     def test_demorgan_1_all_pairs(self, ctx22):
         report = check_exhaustive(lookup("demorgan-1"), ctx22)
@@ -664,6 +679,49 @@ class TestChecksGoThroughTheAlgebra:
         assert main(argv) == 1
         assert main(argv + ["--exhaustive"]) == 1
         assert "evaluations disagree" in capsys.readouterr().out
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# Every expression node class that names an algebra function, found by
+# walking the class tree, so that a new operation class is included.
+OPERATION_NODES = sorted(
+    {cls for cls in _subclasses(expr.Expr) if hasattr(cls, "function")}, key=lambda cls: cls.__name__
+)
+
+
+def test_the_walk_finds_the_four_operations():
+    functions = {cls.function for cls in OPERATION_NODES}
+    assert functions >= {"complement", "intersection", "union", "difference"}
+
+
+@pytest.mark.parametrize("node_class", OPERATION_NODES, ids=lambda cls: cls.__name__)
+def test_every_operation_node_reaches_its_own_algebra_function(node_class, monkeypatch, ctx22):
+    name = node_class.function
+    assert name in algebra.__all__
+    calls = []
+    original = getattr(algebra, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, name, recording)
+    arg_names = ("F", "G")[: len(node_class.__match_args__)]
+    node = node_class(*map(expr.Name, arg_names))
+    args = tuple(SoftSet(ctx22, bits) for bits in (0b1001, 0b0110)[: len(arg_names)])
+    assert expr.evaluate(node, dict(zip(arg_names, args)), ctx22) == original(*args)
+    assert calls == [args]
+    text = expr.render(node)
+    law = formula_law("t", " ".join(arg_names), f"{text} = {text}")
+    calls.clear()
+    assert law.check(ctx22, args) is None and calls
+    calls.clear()
+    assert check_exhaustive(law, ctx22).passed and calls  # bit-sliced
 
 
 # Texts far deeper than Python's own parser nests.

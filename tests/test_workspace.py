@@ -56,6 +56,13 @@ class TestLoad:
         assert ws.bindings["F"].image("e1") == {"x2"}
         assert ws.bindings["F"].image("e2") == {"x1"}
 
+    def test_a_leading_byte_order_mark_is_dropped(self):
+        text = HEADER + "softset F:\n  e3: h2 h4\n"
+        assert load_workspace("\ufeff" + text) == load_workspace(text)
+        assert load_workspace("\ufeffuniverse: a\nparameters: p\n").context.objects == ("a",)
+        with pytest.raises(FormatError, match="line 1: missing universe: header"):
+            load_workspace("\ufeff\ufeff" + text)  # one mark only
+
     def test_block_with_no_image_lines_is_the_empty_soft_set(self):
         ws = load_workspace(HEADER + "softset F:\n")
         assert ws.bindings["F"].is_empty()
