@@ -3,7 +3,8 @@
 Subcommands: ``eval`` (evaluate an expression over a workspace file),
 ``check-laws`` (run the law catalog exhaustively or on seeded random
 cases), ``show`` (canonically re-render a workspace), ``paper-example``
-(recompute the bundled houses example against its fixtures).
+(recompute the bundled houses example, whose F and G live only in the
+bundled ``houses.sset``, against the results recorded in ``houses``).
 
 Exit codes are a stable contract: 0 success, 1 law or fixture failure,
 2 usage/lex/parse error, 3 data error (bad workspace, unreadable file,

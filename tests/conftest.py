@@ -3,8 +3,12 @@ import random
 
 import pytest
 
+from softsets.houses import RESULTS
 from softsets.laws import _random_soft_set, enumerate_soft_sets
 from softsets.model import Context, new_context, soft_set
+
+# The recorded rendering of each houses result, by its operation's name.
+HOUSES_RENDERED = {name: rendered for _, name, rendered in RESULTS}
 
 # One line per acceptance criterion, echoed after the test run so the
 # pass/fail lines stay visible under output capture.
@@ -37,14 +41,6 @@ def ctx33() -> Context:
 def ctx66() -> Context:
     return new_context(
         tuple(f"x{i}" for i in range(1, 7)), tuple(f"e{i}" for i in range(1, 7))
-    )
-
-
-@pytest.fixture
-def houses_ctx() -> Context:
-    return new_context(
-        ("h1", "h2", "h3", "h4", "h5"),
-        ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"),
     )
 
 

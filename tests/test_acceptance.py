@@ -26,16 +26,10 @@ from softsets.expr import (
     render,
 )
 from softsets.houses import (
-    EXPECTED_DIFFERENCE,
     PUBLISHED_DIFFERENCE_E2,
-    RENDERED_COMPLEMENT,
-    RENDERED_DIFFERENCE,
-    RENDERED_INTERSECTION,
-    RENDERED_UNION,
-    houses_context,
-    houses_f,
-    houses_g,
+    houses_workspace,
     paper_example_report,
+    recorded_soft_set,
 )
 from softsets.laws import (
     _random_soft_set,
@@ -53,7 +47,7 @@ from softsets.workspace import (
     render_workspace,
 )
 
-from .conftest import ACCEPTANCE_LINES
+from .conftest import ACCEPTANCE_LINES, HOUSES_RENDERED
 from .mutants import BROKEN_LAWS
 
 
@@ -73,16 +67,16 @@ def test_acceptance_1_paper_example_regression():
     if not ok:
         failures.append("report found a fixture mismatch")
 
-    ctx = houses_context()
-    f, g = houses_f(ctx), houses_g(ctx)
+    ws = houses_workspace()
+    f, g = ws.bindings["F"], ws.bindings["G"]
     results = {
-        "intersection": (algebra.intersection(f, g), RENDERED_INTERSECTION),
-        "union": (algebra.union(f, g), RENDERED_UNION),
-        "complement": (algebra.complement(f), RENDERED_COMPLEMENT),
-        "difference": (algebra.difference(f, g), RENDERED_DIFFERENCE),
+        "intersection": algebra.intersection(f, g),
+        "union": algebra.union(f, g),
+        "complement": algebra.complement(f),
+        "difference": algebra.difference(f, g),
     }
-    for op_name, (result, rendered) in results.items():
-        if render_soft_set(result) != rendered:
+    for op_name, result in results.items():
+        if render_soft_set(result) != HOUSES_RENDERED[op_name]:
             failures.append(f"{op_name} rendering is not byte-exact")
 
     domains = {
@@ -92,11 +86,11 @@ def test_acceptance_1_paper_example_regression():
         "difference": {"e2", "e5", "e7"},
     }
     for op_name, expected_domain in domains.items():
-        if results[op_name][0].domain() != expected_domain:
+        if results[op_name].domain() != expected_domain:
             failures.append(f"{op_name} domain differs")
 
-    diff = results["difference"][0]
-    if dict(diff.assignment) != EXPECTED_DIFFERENCE:
+    diff = results["difference"]
+    if diff != recorded_soft_set(ws.context, HOUSES_RENDERED["difference"]):
         failures.append("difference images differ from the definitional fixture")
     if diff.image("e2") == PUBLISHED_DIFFERENCE_E2:
         failures.append("difference at e2 shows the published misprint, not the definition")

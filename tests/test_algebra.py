@@ -1,7 +1,7 @@
 """The four operations and the subset relation.
 
-Each operation is checked two ways: against hand-computed images on the
-bundled houses data, and against a test-local recomputation working
+Each operation is checked two ways: against the recorded results of the
+bundled houses example, and against a test-local recomputation working
 directly on images (independent of both the packed encoding and the
 matrix cross-check module).
 """
@@ -20,14 +20,9 @@ import softsets
 from softsets import algebra
 from softsets.errors import ContextMismatch
 from softsets.houses import (
-    EXPECTED_COMPLEMENT,
-    EXPECTED_DIFFERENCE,
-    EXPECTED_INTERSECTION,
-    EXPECTED_UNION,
     PUBLISHED_DIFFERENCE_E2,
-    houses_context,
-    houses_f,
-    houses_g,
+    houses_workspace,
+    recorded_soft_set,
 )
 from softsets.laws import _ChunkFrame, enumerate_soft_sets
 from softsets.model import (
@@ -38,7 +33,7 @@ from softsets.model import (
     universal_soft_set,
 )
 
-from .conftest import all_pairs, frame, make
+from .conftest import HOUSES_RENDERED, all_pairs, frame, make
 
 
 # Image-level recomputations, straight from the definitions.
@@ -96,40 +91,45 @@ def subset_by_images(a, b):
     return all(a.image(e) <= b.image(e) for e in a.domain())
 
 
+def _houses_result(name: str) -> "tuple[SoftSet, SoftSet]":
+    """The named algebra function applied to the bundled F (and G), and
+    the recorded result, read back from its rendering."""
+    ws = houses_workspace()
+    f, g = ws.bindings["F"], ws.bindings["G"]
+    args = (f,) if name == "complement" else (f, g)
+    recorded = recorded_soft_set(ws.context, HOUSES_RENDERED[name])
+    return getattr(algebra, name)(*args), recorded
+
+
 class TestHousesData:
-    """The worked five-houses example, frozen as image dictionaries."""
+    """The worked five-houses example, against its recorded results."""
 
     def test_intersection(self):
-        ctx = houses_context()
-        result = algebra.intersection(houses_f(ctx), houses_g(ctx))
-        assert dict(result.assignment) == EXPECTED_INTERSECTION
+        computed, recorded = _houses_result("intersection")
+        assert computed == recorded
 
     def test_union(self):
-        ctx = houses_context()
-        result = algebra.union(houses_f(ctx), houses_g(ctx))
-        assert dict(result.assignment) == EXPECTED_UNION
+        computed, recorded = _houses_result("union")
+        assert computed == recorded
 
     def test_complement(self):
-        ctx = houses_context()
-        result = algebra.complement(houses_f(ctx))
-        assert dict(result.assignment) == EXPECTED_COMPLEMENT
+        computed, recorded = _houses_result("complement")
+        assert computed == recorded
 
     def test_difference(self):
-        ctx = houses_context()
-        result = algebra.difference(houses_f(ctx), houses_g(ctx))
-        assert dict(result.assignment) == EXPECTED_DIFFERENCE
+        computed, recorded = _houses_result("difference")
+        assert computed == recorded
 
     def test_difference_at_e2_keeps_all_three_objects(self):
         # the published worked example prints {h2} here; removing {h4}
         # from {h2, h3, h5} cannot shrink it
-        ctx = houses_context()
-        result = algebra.difference(houses_f(ctx), houses_g(ctx))
+        result, _ = _houses_result("difference")
         assert result.image("e2") == {"h2", "h3", "h5"}
         assert result.image("e2") != PUBLISHED_DIFFERENCE_E2
 
     def test_subset_facts(self):
-        ctx = houses_context()
-        f, g = houses_f(ctx), houses_g(ctx)
+        ws = houses_workspace()
+        f, g = ws.bindings["F"], ws.bindings["G"]
         assert algebra.subset(algebra.intersection(f, g), f)
         assert algebra.subset(f, algebra.union(f, g))
         assert not algebra.subset(f, g)

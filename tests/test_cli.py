@@ -1,6 +1,7 @@
 """Command-line behavior: output, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import os
 import shutil
@@ -16,55 +17,52 @@ from hypothesis import strategies as st
 import softsets
 from softsets import algebra, cli, houses
 from softsets.cli import main
-from softsets.houses import (
-    RENDERED_COMPLEMENT,
-    RENDERED_INTERSECTION,
-    bundled_workspace_text,
-    houses_workspace,
-)
+from softsets.houses import bundled_workspace_text, houses_workspace
 from softsets.laws import law_catalog
 from softsets.workspace import render_soft_set, render_workspace
 
+from .conftest import HOUSES_RENDERED
+
 
 @pytest.fixture
-def houses_file(tmp_path):
+def houses_path(tmp_path):
     path = tmp_path / "houses.sset"
     path.write_text(bundled_workspace_text(), encoding="utf-8")
     return str(path)
 
 
 class TestEval:
-    def test_intersection_renders_the_worked_example(self, houses_file, capsys):
-        assert main(["eval", houses_file, "F & G"]) == 0
+    def test_intersection_renders_the_worked_example(self, houses_path, capsys):
+        assert main(["eval", houses_path, "F & G"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == RENDERED_INTERSECTION
+        assert captured.out == HOUSES_RENDERED["intersection"]
         assert captured.err == ""
 
-    def test_complement_covers_seven_parameters(self, houses_file, capsys):
-        assert main(["eval", houses_file, "F^c"]) == 0
-        assert capsys.readouterr().out == RENDERED_COMPLEMENT
+    def test_complement_covers_seven_parameters(self, houses_path, capsys):
+        assert main(["eval", houses_path, "F^c"]) == 0
+        assert capsys.readouterr().out == HOUSES_RENDERED["complement"]
 
-    def test_empty_result_prints_nothing(self, houses_file, capsys):
-        assert main(["eval", houses_file, "F - F"]) == 0
+    def test_empty_result_prints_nothing(self, houses_path, capsys):
+        assert main(["eval", houses_path, "F - F"]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_unbound_name_exits_2(self, houses_file, capsys):
-        assert main(["eval", houses_file, "F & X"]) == 2
+    def test_unbound_name_exits_2(self, houses_path, capsys):
+        assert main(["eval", houses_path, "F & X"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unbound name X" in captured.err
 
-    def test_lex_error_exits_2_with_position(self, houses_file, capsys):
-        assert main(["eval", houses_file, "F ? G"]) == 2
+    def test_lex_error_exits_2_with_position(self, houses_path, capsys):
+        assert main(["eval", houses_path, "F ? G"]) == 2
         assert "1:3" in capsys.readouterr().err
 
-    def test_parse_error_exits_2(self, houses_file, capsys):
-        assert main(["eval", houses_file, "(F | G"]) == 2
+    def test_parse_error_exits_2(self, houses_path, capsys):
+        assert main(["eval", houses_path, "(F | G"]) == 2
         assert "parenthesis" in capsys.readouterr().err
 
     @pytest.mark.parametrize("expression", ["F = G", "F <= G", "F => G", "F <=> G", "F and G"])
-    def test_law_relations_are_not_expressions(self, houses_file, capsys, expression):
-        assert main(["eval", houses_file, expression]) == 2
+    def test_law_relations_are_not_expressions(self, houses_path, capsys, expression):
+        assert main(["eval", houses_path, expression]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1:3" in captured.err
@@ -85,9 +83,9 @@ class TestEval:
         assert main(["eval", str(bad), "F"]) == 3
         assert "line 4" in capsys.readouterr().err
 
-    def test_double_dash_after_the_separator_is_the_expression(self, houses_file, capsys):
+    def test_double_dash_after_the_separator_is_the_expression(self, houses_path, capsys):
         # argparse (Python 3.11 at least) reads this "--" as [], not as text
-        for argv in (["eval", houses_file, "--", "--"], ["eval", "--", houses_file, "--"]):
+        for argv in (["eval", houses_path, "--", "--"], ["eval", "--", houses_path, "--"]):
             assert main(argv) == 2
             assert capsys.readouterr().err == "error: 1:1: unexpected token '-'\n"
 
@@ -96,30 +94,30 @@ class TestEval:
         [" & ".join(["F"] * 3000), "F" + "^c" * 3000],
         ids=["3000-term-chain", "3000-complements"],
     )
-    def test_long_expressions_evaluate(self, houses_file, capsys, expression):
-        assert main(["eval", houses_file, expression]) == 0
+    def test_long_expressions_evaluate(self, houses_path, capsys, expression):
+        assert main(["eval", houses_path, expression]) == 0
         captured = capsys.readouterr()
         assert captured.out == render_soft_set(houses_workspace().bindings["F"])
         assert captured.err == ""
 
-    def test_deep_nesting_exits_2(self, houses_file, capsys):
+    def test_deep_nesting_exits_2(self, houses_path, capsys):
         expression = "(" * 2000 + "F" + ")" * 2000
-        assert main(["eval", houses_file, expression]) == 2
+        assert main(["eval", houses_path, expression]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    def test_output_is_deterministic(self, houses_file, capsys):
-        main(["eval", houses_file, "(F | G)^c - F"])
+    def test_output_is_deterministic(self, houses_path, capsys):
+        main(["eval", houses_path, "(F | G)^c - F"])
         first = capsys.readouterr().out
-        main(["eval", houses_file, "(F | G)^c - F"])
+        main(["eval", houses_path, "(F | G)^c - F"])
         assert capsys.readouterr().out == first
 
 
 class TestShow:
-    def test_canonical_re_rendering(self, houses_file, capsys):
-        assert main(["show", houses_file]) == 0
+    def test_canonical_re_rendering(self, houses_path, capsys):
+        assert main(["show", houses_path]) == 0
         assert capsys.readouterr().out == render_workspace(houses_workspace())
 
     def test_show_is_a_fixpoint(self, tmp_path, capsys):
@@ -182,14 +180,14 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_the_parser_is_reused_without_changing_any_outcome(houses_file, capsys):
+def test_the_parser_is_reused_without_changing_any_outcome(houses_path, capsys):
     calls = [
-        ["eval", houses_file, "F & G"],
-        ["eval", houses_file],  # usage error
+        ["eval", houses_path, "F & G"],
+        ["eval", houses_path],  # usage error
         ["--help"],
         ["check-laws", "--law", "involution"],
-        ["eval", houses_file, "F ? G"],  # lex error
-        ["eval", houses_file, "F & G"],
+        ["eval", houses_path, "F ? G"],  # lex error
+        ["eval", houses_path, "F & G"],
     ]
     first = []
     for argv in calls:
@@ -269,6 +267,12 @@ class TestCheckLaws:
         assert capsys.readouterr().out == base  # both pass: same report text
 
 
+def _failed_sections(report: str) -> "list[str]":
+    """The heading of each section of a paper-example report that fails."""
+    sections = ("\n" + report).split("\n== ")[1:]
+    return [section.split("\n")[0] for section in sections if "\nFAIL" in section]
+
+
 class TestPaperExample:
     def test_exits_zero_and_reports_every_section(self, capsys):
         assert main(["paper-example"]) == 0
@@ -292,12 +296,30 @@ class TestPaperExample:
         main(["paper-example"])
         assert capsys.readouterr().out == first
 
-    def test_a_wrong_operation_fails_its_fixture(self, capsys, monkeypatch):
-        monkeypatch.setattr(algebra, "difference", algebra.intersection)
+    def test_report_is_byte_identical_to_the_recorded_one(self, capsys):
+        assert main(["paper-example"]) == 0
+        digest = hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == "81e5aea9a05f144ddabd910e62957412"
+
+    # Each mutant replaces one operation with a wrong one.  Swapping the
+    # operands is no mutant: union and intersection commute.
+    @pytest.mark.parametrize(
+        "name, mutant",
+        [
+            ("intersection", algebra.union),
+            ("union", algebra.intersection),
+            ("complement", lambda s: s),
+            ("difference", algebra.intersection),
+        ],
+        ids=["intersection", "union", "complement", "difference"],
+    )
+    def test_a_wrong_operation_fails_its_fixture(self, capsys, monkeypatch, name, mutant):
+        monkeypatch.setattr(algebra, name, mutant)
         assert main(["paper-example"]) == 1
         out = capsys.readouterr().out
-        section = out[out.index("== F - G (difference)") :]
-        assert "FAIL: differs from the recorded fixture" in section
+        failed = _failed_sections(out)
+        assert len(failed) == 1 and failed[0].endswith(f"({name})")
+        assert "FAIL: differs from the recorded fixture" in out
         assert out.count("OK:") == 4
         assert out.endswith("one or more fixtures differ\n")
 
@@ -308,8 +330,30 @@ class TestPaperExample:
         assert main(["paper-example"]) == 1
         out = capsys.readouterr().out
         assert "FAIL: bundled file differs from the recorded assignment" in out
+        assert _failed_sections(out) == ["workspace"]
         assert out.count("OK:") == 4
         assert out.endswith("one or more fixtures differ\n")
+
+    def test_a_changed_image_fails_its_sections(self, capsys, monkeypatch):
+        changed = bundled_workspace_text().replace("  e6: h3\n", "  e6: h4\n")
+        monkeypatch.setattr(houses, "bundled_workspace_text", lambda: changed)
+        assert main(["paper-example"]) == 1
+        # e6 is outside F's domain, so only the union sees G's image there
+        assert _failed_sections(capsys.readouterr().out) == ["F | G (union)"]
+
+    def test_a_missing_binding_fails_without_an_error(self, capsys, monkeypatch):
+        changed = bundled_workspace_text().split("softset G:")[0]
+        monkeypatch.setattr(houses, "bundled_workspace_text", lambda: changed)
+        assert main(["paper-example"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("error: unbound name G") == 3
+        # only the complement reads F alone
+        assert _failed_sections(out) == [
+            "workspace",
+            "F & G (intersection)",
+            "F | G (union)",
+            "F - G (difference)",
+        ]
 
 
 class TestUsageErrors:
@@ -486,9 +530,9 @@ def test_fuzzed_check_laws_keeps_the_exit_code_contract(argv):
 
 
 @pytest.mark.parametrize("module", ["softsets", "softsets.cli"])
-def test_module_entry_points_report_errors(houses_file, module):
+def test_module_entry_points_report_errors(houses_path, module):
     proc = subprocess.run(
-        [sys.executable, "-m", module, "eval", houses_file, "F ? G"],
+        [sys.executable, "-m", module, "eval", houses_path, "F ? G"],
         capture_output=True,
         text=True,
         env=_child_env(),
@@ -498,15 +542,15 @@ def test_module_entry_points_report_errors(houses_file, module):
     assert proc.stderr == "error: 1:3: illegal character '?'\n"
 
 
-def test_module_entry_point(houses_file):
+def test_module_entry_point(houses_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "softsets", "eval", houses_file, "F & G"],
+        [sys.executable, "-m", "softsets", "eval", houses_path, "F & G"],
         capture_output=True,
         text=True,
         env=_child_env(),
     )
     assert proc.returncode == 0
-    assert proc.stdout == RENDERED_INTERSECTION
+    assert proc.stdout == HOUSES_RENDERED["intersection"]
 
 
 # Modules that ``import softsets.cli`` must not load: the CLI imports the
@@ -542,6 +586,26 @@ def test_start_up_imports_no_laws_houses_or_dataclasses():
     assert lines[0] == "[]"
     assert lines[1:3] == ["involution: random, 1000 cases, PASS", "0"]
     # paper-example reads the bundled file without importlib.resources
+    assert proc.stdout.endswith("all fixtures match\n0\n[]\n")
+
+
+PAPER_EXAMPLE_ONLY = """\
+import sys
+import softsets.cli
+print(softsets.cli.main(["paper-example"]))
+print(sorted(m for m in ("dataclasses", "inspect", "typing", "softsets.laws") if m in sys.modules))
+"""
+
+
+def test_paper_example_loads_no_laws_or_dataclasses():
+    # Alone in its process: the child above runs check-laws first.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", PAPER_EXAMPLE_ONLY],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("all fixtures match\n0\n[]\n")
 
 
@@ -592,21 +656,21 @@ def _run_console_script(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_console_script(houses_file):
-    proc = _run_console_script("show", houses_file)
+def test_console_script(houses_path):
+    proc = _run_console_script("show", houses_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == render_workspace(houses_workspace())
     # the script must hand main's exit code to sys.exit
-    assert _run_console_script("eval", houses_file, "Q").returncode == 2
+    assert _run_console_script("eval", houses_path, "Q").returncode == 2
 
 
 @pytest.mark.skipif(
     shutil.which("softsets") is None,
     reason="the softsets console script is not installed",
 )
-def test_installed_console_script(houses_file):
+def test_installed_console_script(houses_path):
     proc = subprocess.run(
-        ["softsets", "show", houses_file], capture_output=True, text=True
+        ["softsets", "show", houses_path], capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert proc.stdout == render_workspace(houses_workspace())

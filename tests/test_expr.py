@@ -40,7 +40,7 @@ from softsets.expr import (
     render,
     tokenize,
 )
-from softsets.houses import houses_context, houses_f, houses_g
+from softsets.houses import houses_workspace
 from softsets.laws import random_soft_set
 from softsets.model import empty_soft_set, new_context, universal_soft_set
 
@@ -261,8 +261,8 @@ class TestParse:
 class TestEvaluate:
     @pytest.fixture
     def houses(self):
-        ctx = houses_context()
-        return ctx, {"F": houses_f(ctx), "G": houses_g(ctx)}
+        ws = houses_workspace()
+        return ws.context, ws.bindings
 
     def test_operators_delegate_to_the_algebra(self, houses):
         ctx, env = houses

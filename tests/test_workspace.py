@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softsets.errors import ContextMismatch, FormatError
-from softsets.houses import bundled_workspace_text, houses_workspace
+from softsets import algebra
+from softsets.houses import (
+    RESULTS,
+    bundled_workspace_text,
+    houses_workspace,
+    recorded_soft_set,
+)
 from softsets.laws import enumerate_soft_sets
 from softsets.model import SoftSet, new_context, soft_set
 from softsets.workspace import (
@@ -28,9 +34,19 @@ HEADER = "universe: h1 h2 h3 h4 h5\nparameters: e1 e2 e3 e4 e5 e6 e7 e8\n"
 
 
 class TestLoad:
-    def test_bundled_file_matches_the_recorded_assignment(self):
+    def test_the_recorded_results_pin_the_bundled_file(self):
+        # F = (F^c)^c and G = (F & G) | ((F | G) - F), so the recorded
+        # results determine F and G, and over the file's own frame.
         ws = load_workspace(bundled_workspace_text())
-        assert ws == houses_workspace()
+        recorded = {
+            name: recorded_soft_set(ws.context, rendered)
+            for _, name, rendered in RESULTS
+        }
+        f = algebra.complement(recorded["complement"])
+        g = algebra.union(
+            recorded["intersection"], algebra.difference(recorded["union"], f)
+        )
+        assert ws.bindings == {"F": f, "G": g}
         assert list(ws.bindings) == ["F", "G"]
 
     def test_readme_fixture_is_the_bundled_file(self):
@@ -214,8 +230,17 @@ class TestRender:
         assert text.endswith("softset F:\n")
 
     def test_byte_identical_across_equal_workspaces(self):
-        a = load_workspace(bundled_workspace_text())
-        b = houses_workspace()
+        # the bundled file, and a copy with each image's objects reversed
+        text = bundled_workspace_text()
+        lines = []
+        for line in text.split("\n"):
+            if line.startswith("  "):
+                parameter, objects = line.split(":")
+                line = f"{parameter}: {' '.join(reversed(objects.split()))}"
+            lines.append(line)
+        reordered = "\n".join(lines)
+        assert reordered != text
+        a, b = load_workspace(text), load_workspace(reordered)
         assert render_workspace(a) == render_workspace(b)
 
     def test_unrepresentable_identifiers_are_rejected(self):
