@@ -8,11 +8,12 @@ Grammar (loosest binding first):
     atom       := NAME | "EMPTY" | "UNIVERSAL" | "(" expression ")"
 
 `&` and `-` share a precedence level and all binary operators associate
-to the left; `^c` is postfix.  The lexer matches one pattern per lexeme
-and looks its kind up in one table: spaces, tabs, carriage returns and
-newlines only separate lexemes, and a word [A-Za-z_][A-Za-z0-9_]* that
-the table does not list (EMPTY and UNIVERSAL are reserved) is a NAME, as
-``is_name`` tells.
+to the left; `^c` is postfix.  The lexer reads every lexeme and its kind
+from one table, ``_KINDS``: spaces, tabs, carriage returns and newlines
+only separate lexemes, and a word [A-Za-z_][A-Za-z0-9_]* that the table
+does not list (EMPTY and UNIVERSAL are reserved) is a NAME, as
+``is_name`` tells.  The parser and ``render`` read each operator's
+``symbol`` and precedence ``level`` off its node class.
 
 Laws (``parse_formula``) extend the language with relations and
 connectives:
@@ -26,10 +27,11 @@ between relations, so it stays an ordinary name in expressions.
 
 Operator chains and `^c` runs of any length parse in loops; parentheses
 recurse, so they nest at most MAX_NESTING deep.  Evaluation, rendering,
-comparison, hashing and ``repr`` walk the tree with explicit stacks,
-mostly through ``fold``, so every tree the parser builds evaluates,
-renders and compares; and as rendering emits only the parentheses the
-tree needs, its text nests no deeper than the source and parses again.
+comparison, hashing, ``repr``, pickling and copying walk the tree with
+explicit stacks, mostly through ``fold``, so every tree the parser
+builds evaluates, renders, compares, pickles and copies; and as
+rendering emits only the parentheses the tree needs, its text nests no
+deeper than the source and parses again.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ __all__ = [
 ]
 
 # Deepest parenthesis nesting the parser accepts.  Each level costs four
-# Python frames (expression, term, factor, atom), so this stays well
-# inside the default recursion limit of 1000 even under a deep caller.
+# Python frames (expression per binary level, factor, atom), so this stays
+# well inside the default recursion limit of 1000 even under a deep caller.
 MAX_NESTING = 200
 
 # Token kinds.
@@ -106,11 +108,11 @@ class _Node(_Frozen):
     """Base of expression and formula nodes.
 
     Each node class lists its fields in ``__match_args__``, in
-    constructor order, and pickles and copies through ``_Frozen``.
-    Trees may be far deeper than the recursion limit (a 3,000-term chain
-    parses into a tree 3,000 deep), so nodes override ``_Frozen``'s
-    ``==``, ``hash`` and ``repr`` with ones that walk the tree with
-    explicit stacks instead of recursing."""
+    constructor order.  Trees may be far deeper than the recursion limit
+    (a 3,000-term chain parses into a tree 3,000 deep), so nodes override
+    ``_Frozen``'s ``==``, ``hash``, ``repr`` and pickling (and so
+    copying) with ones that walk the tree with explicit stacks instead
+    of recursing: a tree pickles as its flat ``_key()``."""
 
     __slots__ = ()
 
@@ -138,6 +140,9 @@ class _Node(_Frozen):
 
     def __hash__(self):
         return hash(self._key())
+
+    def __reduce__(self):
+        return _rebuild, (self._key(),)
 
     def __repr__(self) -> str:
         """The dataclass form, e.g. ``Complement(child=Name(identifier='F'))``."""
@@ -181,6 +186,7 @@ class _Binary(_Node):
 class Name(Expr):
     __slots__ = ("identifier",)
     __match_args__ = ("identifier",)
+    level = 4  # an atom, as the keywords are
 
     identifier: str
 
@@ -190,21 +196,23 @@ class Name(Expr):
         _set_identifier(self, identifier)
 
 
+# Class attributes, not fields (``__match_args__`` lists none): each
+# operator's ``symbol`` and precedence ``level``, from ``|`` (1) up to the
+# atoms (4), and an operation's function in ``softsets.algebra``.
 class Empty(Expr):
     __slots__ = ()
+    symbol, level = "EMPTY", 4
 
 
 class Universal(Expr):
     __slots__ = ()
+    symbol, level = "UNIVERSAL", 4
 
 
-# Each operation node names its function in ``softsets.algebra``, and a
-# binary one also its symbol and precedence level (``|`` binds loosest).
-# They are class attributes, not fields: ``__match_args__`` lists none.
 class Complement(Expr):
     __slots__ = ("child",)
     __match_args__ = ("child",)
-    function = "complement"
+    function, symbol, level = "complement", "^c", 3
 
     child: Expr
 
@@ -242,6 +250,22 @@ class Formula(_Binary):
         _set_right(self, right)
 
 
+def _rebuild(key: tuple) -> _Node:
+    """The tree whose ``_key()`` is ``key``.  Each node takes its scalar
+    field (a name's identifier, a formula's operator) from the key and
+    its children, as many as its other fields, from the top of a stack
+    of built subtrees."""
+    stack: list = []
+    items = iter(key)
+    for cls in items:
+        scalar = (next(items),) if cls in (Name, Formula) else ()
+        first = len(stack) - len(cls.__match_args__) + len(scalar)
+        children = stack[first:]
+        del stack[first:]
+        stack.append(cls(*scalar, *children))
+    return stack.pop()
+
+
 # The slots' own setters, bound once: _Frozen.__setattr__ refuses every
 # write.
 _set_kind = Token.kind.__set__
@@ -261,16 +285,17 @@ _set_op = Formula.op.__set__
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 
-# Blanks, then at most one lexeme, the longer relations first.  The
-# pattern always matches; its group is None where no lexeme starts.
-_LEXEME_RE = re.compile(rf"[ \t\r]*(<=>|<=|=>|=|\^c|[&|\\()-]|{_NAME})?")
-
-# Kind of every lexeme that is not a NAME.
+# Kind of every lexeme that is not a NAME: the lexer's one list of them.
 _KINDS = {
     "&": AMP, "|": PIPE, "-": MINUS, "\\": MINUS, "(": LPAREN, ")": RPAREN, "^c": CARET_C,
     "<=>": IFF, "<=": LE, "=>": IMPLIES, "=": EQ,
     "EMPTY": EMPTY_KW, "UNIVERSAL": UNIV_KW,
 }
+
+# Blanks, then at most one lexeme: a symbol of ``_KINDS``, longest first,
+# or a word.  It always matches; its group is None where no lexeme starts.
+_SYMBOLS = sorted((s for s in _KINDS if not _NAME_RE.fullmatch(s)), key=len, reverse=True)
+_LEXEME_RE = re.compile(rf"[ \t\r]*({'|'.join(map(re.escape, _SYMBOLS))}|{_NAME})?")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -295,6 +320,11 @@ def is_name(text: str) -> bool:
 # ---------------------------------------------------------------------------
 # Parser
 
+# The node class each operator or keyword token builds; ``expression``
+# parses one binary ``level`` per call, the loosest first.
+_NODES = {AMP: Intersect, MINUS: Difference, PIPE: Union, EMPTY_KW: Empty, UNIV_KW: Universal}
+_LOOSEST = min(cls.level for cls in _NODES.values())
+
 
 class _Parser:
     def __init__(self, tokens: Sequence[Token]):
@@ -314,19 +344,15 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expression(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == PIPE:
+    def expression(self, level: int = _LOOSEST) -> Expr:
+        """A left-associative chain of the binary operators at ``level``,
+        over operands that bind tighter."""
+        tighter = level + 1
+        node = self.factor() if tighter == Complement.level else self.expression(tighter)
+        while (cls := _NODES.get(self.peek().kind)) and cls.level == level:
             self.advance()
-            node = Union(node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek().kind in (AMP, MINUS):
-            op = self.advance()
-            right = self.factor()
-            node = Intersect(node, right) if op.kind == AMP else Difference(node, right)
+            right = self.factor() if tighter == Complement.level else self.expression(tighter)
+            node = cls(node, right)
         return node
 
     def factor(self) -> Expr:
@@ -341,12 +367,9 @@ class _Parser:
         if tok.kind == NAME:
             self.advance()
             return Name(tok.text)
-        if tok.kind == EMPTY_KW:
+        if tok.kind in (EMPTY_KW, UNIV_KW):
             self.advance()
-            return Empty()
-        if tok.kind == UNIV_KW:
-            self.advance()
-            return Universal()
+            return _NODES[tok.kind]()
         if tok.kind == LPAREN:
             if self.depth == MAX_NESTING:
                 raise ParseError(
@@ -468,12 +491,6 @@ def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
     return fold(ast, combine)
 
 
-# Precedence levels above the binary operators' own ``level``: ``^c``
-# binds tighter, and atoms tightest.
-_POSTFIX = 3
-_ATOM = 4
-
-
 def render(ast: Expr) -> str:
     """Text that reparses to an identical tree, with only the parentheses
     that precedence and left associativity need: an operand is
@@ -489,16 +506,14 @@ def render(ast: Expr) -> str:
 
     def combine(node: Expr, *parts: tuple[str, int]) -> tuple[str, int]:
         if isinstance(node, Name):
-            return node.identifier, _ATOM
-        if isinstance(node, Empty):
-            return "EMPTY", _ATOM
-        if isinstance(node, Universal):
-            return "UNIVERSAL", _ATOM
-        if isinstance(node, Complement):
-            return f"{wrap(parts[0], _POSTFIX)}^c", _POSTFIX
-        if hasattr(node, "symbol"):
-            level = node.level
-            return f"{wrap(parts[0], level)} {node.symbol} {wrap(parts[1], level + 1)}", level
-        raise TypeError(f"not an expression node: {node!r}")
+            return node.identifier, node.level
+        symbol = getattr(node, "symbol", None)
+        if symbol is None:
+            raise TypeError(f"not an expression node: {node!r}")
+        level = node.level
+        if len(parts) == 2:
+            return f"{wrap(parts[0], level)} {symbol} {wrap(parts[1], level + 1)}", level
+        # A keyword is its symbol alone; ``^c`` follows its operand.
+        return "".join(wrap(part, level) for part in parts) + symbol, level
 
     return fold(ast, combine)[0]

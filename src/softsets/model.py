@@ -222,6 +222,22 @@ _set_parameter_offset = Context._parameter_offset.__set__
 new_context = Context
 
 
+def _sugar(function: str):
+    """An operator method that calls ``function`` of ``softsets.algebra``,
+    looked up at each call (imported then, to avoid a cycle), so patched
+    operations are seen.  A binary one returns ``NotImplemented`` for an
+    operand that is not a soft set, so Python raises ``TypeError``."""
+
+    def method(self, *other):
+        if other and not isinstance(other[0], SoftSet):
+            return NotImplemented
+        from . import algebra
+
+        return getattr(algebra, function)(self, *other)
+
+    return method
+
+
 class SoftSet(_Frozen):
     """An immutable soft set over ``context``.
 
@@ -315,32 +331,13 @@ class SoftSet(_Frozen):
     def is_universal(self) -> bool:
         return self.bits == self.context.full_bits
 
-    # Operator sugar; the module-level functions in softsets.algebra are
-    # the primary interface.  Imports are deferred to avoid a cycle.
-    def __and__(self, other: "SoftSet") -> "SoftSet":
-        from . import algebra
-
-        return algebra.intersection(self, other)
-
-    def __or__(self, other: "SoftSet") -> "SoftSet":
-        from . import algebra
-
-        return algebra.union(self, other)
-
-    def __sub__(self, other: "SoftSet") -> "SoftSet":
-        from . import algebra
-
-        return algebra.difference(self, other)
-
-    def __invert__(self) -> "SoftSet":
-        from . import algebra
-
-        return algebra.complement(self)
-
-    def __le__(self, other: "SoftSet") -> bool:
-        from . import algebra
-
-        return algebra.subset(self, other)
+    # Operator sugar; the functions of softsets.algebra are the primary
+    # interface.
+    __and__ = _sugar("intersection")
+    __or__ = _sugar("union")
+    __sub__ = _sugar("difference")
+    __invert__ = _sugar("complement")
+    __le__ = _sugar("subset")
 
     def __repr__(self):
         return "SoftSet({" + "; ".join(_image_lines(self, "")) + "})"

@@ -1,6 +1,8 @@
 """Expression language: lexer, parser, evaluator, renderer."""
 
+import copy
 import itertools
+import pickle
 import re
 
 import pytest
@@ -30,8 +32,10 @@ from softsets.expr import (
     Formula,
     Intersect,
     Name,
+    Token,
     Union,
     Universal,
+    _KINDS,
     evaluate,
     is_name,
     parse,
@@ -67,7 +71,21 @@ _texts = st.lists(
 ).map("".join)
 
 
+# Every lexeme other than a name, with its kind, as the README lists them.
+LEXEMES = {
+    "&": AMP, "|": PIPE, "-": MINUS, "\\": MINUS, "(": LPAREN, ")": RPAREN, "^c": CARET_C,
+    "<=>": IFF, "<=": LE, "=>": IMPLIES, "=": EQ, "EMPTY": EMPTY_KW, "UNIVERSAL": UNIV_KW,
+}
+
+
 class TestTokenize:
+    def test_the_lexer_table_lists_every_lexeme(self):
+        assert _KINDS == LEXEMES
+
+    @pytest.mark.parametrize("lexeme, kind", LEXEMES.items(), ids=list(LEXEMES))
+    def test_every_lexeme_lexes_alone_as_its_kind(self, lexeme, kind):
+        assert tokenize(lexeme) == [Token(kind, lexeme, 1, 1)]
+
     def test_complemented_group(self):
         assert kinds("(F & G)^c") == [LPAREN, NAME, AMP, NAME, RPAREN, CARET_C]
 
@@ -168,7 +186,29 @@ class TestTokenize:
         assert is_name(text) is expected
 
 
+BINARY_NODES = (Intersect, Union, Difference)
+
+
 class TestParse:
+    def test_levels_follow_the_documented_precedence(self):
+        # `|` binds loosest, `&` and `-` share a level, `^c` binds
+        # tighter, and atoms tightest
+        assert Union.level < Intersect.level == Difference.level < Complement.level
+        assert Complement.level < Name.level == Empty.level == Universal.level
+
+    @pytest.mark.parametrize(
+        "a, b",
+        itertools.product(BINARY_NODES, repeat=2),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_binary_operators_group_by_level(self, a, b):
+        # the tighter operator first, and the left one on a tie
+        text = f"F {a.symbol} G {b.symbol} H"
+        f, g, h = Name("F"), Name("G"), Name("H")
+        tree = parse_text(text)
+        assert tree == (a(f, b(g, h)) if b.level > a.level else b(a(f, g), h))
+        assert render(tree) == text
+
     def test_union_binds_loosest(self):
         assert parse_text("F | G & H") == Union(
             Name("F"), Intersect(Name("G"), Name("H"))
@@ -424,6 +464,31 @@ class TestTreeIdentity:
         text = repr(a)
         assert text.startswith("Intersect(left=Intersect(left=")
         assert text.count("Name(identifier='F')") == 3000
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    @pytest.mark.parametrize(
+        "text, parser",
+        [
+            (" & ".join(["F"] * 3000), parse_text),
+            ("F" + "^c" * 3000, parse_text),
+            (" and ".join(["F - G = F & G^c"] * 1500) + " => F" + " | G" * 1500 + " <= F", parse_formula),
+        ],
+        ids=["3000-term-chain", "3000-complements", "deep-formula"],
+    )
+    def test_deep_trees_pickle_and_copy(self, text, parser, round_trip):
+        tree = parser(text)
+        try:
+            clone = round_trip(tree)
+        except RecursionError:
+            # fails the asserts below: pytest takes minutes to print the
+            # traceback of a RecursionError whose frames hold deep trees
+            clone = None
+        assert type(clone) is type(tree) and clone == tree
+        assert repr(clone) == repr(tree)
 
     def test_a_name_is_nonempty(self):
         with pytest.raises(ValueError):

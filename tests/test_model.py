@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import operator
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -289,6 +290,39 @@ def test_operator_sugar(ctx22):
     assert ~s == algebra.complement(s)
     assert (s <= t) == algebra.subset(s, t)
     assert (s <= s | t) is True
+
+
+SUGAR = {
+    "__and__": "intersection",
+    "__or__": "union",
+    "__sub__": "difference",
+    "__invert__": "complement",
+    "__le__": "subset",
+}
+
+
+@pytest.mark.parametrize("method, function", SUGAR.items(), ids=list(SUGAR))
+def test_operator_sugar_looks_the_operation_up_at_each_call(method, function, monkeypatch, ctx22):
+    from softsets import algebra
+
+    calls = []
+    monkeypatch.setattr(algebra, function, lambda *args: calls.append(args) or "patched")
+    s, t = make(ctx22, e1="x1"), make(ctx22, e2="x2")
+    others = () if method == "__invert__" else (t,)
+    assert getattr(s, method)(*others) == "patched"
+    assert calls == [(s, *others)]
+
+
+@pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.sub, operator.le])
+@pytest.mark.parametrize(
+    "other", [3, None, "x", new_context(("x1",), ("e1",))], ids=["int", "None", "str", "Context"]
+)
+def test_a_foreign_operand_raises_type_error_both_ways(op, other, ctx22):
+    s = make(ctx22, e1="x1")
+    with pytest.raises(TypeError):
+        op(s, other)
+    with pytest.raises(TypeError):
+        op(other, s)
 
 
 # Reference accessors: the formulas of the dataclass version of SoftSet,
