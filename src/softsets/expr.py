@@ -3,8 +3,8 @@
 Grammar (loosest binding first):
 
     expression := term { "|" term }
-    term       := factor { ("&" | "-" | "\\") factor }
-    factor     := atom { "^c" }
+    term       := operand { ("&" | "-" | "\\") operand }
+    operand    := atom { "^c" }
     atom       := NAME | "EMPTY" | "UNIVERSAL" | "(" expression ")"
 
 `&` and `-` share a precedence level and all binary operators associate
@@ -25,13 +25,14 @@ connectives:
 `=` is equality and `<=` the subset relation; `and` is a connective only
 between relations, so it stays an ordinary name in expressions.
 
-Operator chains and `^c` runs of any length parse in loops; parentheses
-recurse, so they nest at most MAX_NESTING deep.  Evaluation, rendering,
-comparison, hashing, ``repr``, pickling and copying walk the tree with
-explicit stacks, mostly through ``fold``, so every tree the parser
-builds evaluates, renders, compares, pickles and copies; and as
-rendering emits only the parentheses the tree needs, its text nests no
-deeper than the source and parses again.
+An expression parses in one loop over one explicit stack, so operator
+chains and `^c` runs may be of any length and parentheses may nest
+arbitrarily deep.  Evaluation, rendering, comparison, hashing,
+``repr``, pickling and copying walk the tree with explicit stacks too,
+mostly through ``fold``, so every tree the parser builds evaluates,
+renders, compares, pickles and copies; and as rendering emits only the
+parentheses the tree needs, its text nests no deeper than the source
+and parses again.
 """
 
 from __future__ import annotations
@@ -63,11 +64,6 @@ __all__ = [
     "evaluate",
     "render",
 ]
-
-# Deepest parenthesis nesting the parser accepts.  Each level costs four
-# Python frames (expression per binary level, factor, atom), so this stays
-# well inside the default recursion limit of 1000 even under a deep caller.
-MAX_NESTING = 200
 
 # Token kinds.
 NAME = "NAME"
@@ -320,10 +316,8 @@ def is_name(text: str) -> bool:
 # ---------------------------------------------------------------------------
 # Parser
 
-# The node class each operator or keyword token builds; ``expression``
-# parses one binary ``level`` per call, the loosest first.
+# The node class each operator or keyword token builds.
 _NODES = {AMP: Intersect, MINUS: Difference, PIPE: Union, EMPTY_KW: Empty, UNIV_KW: Universal}
-_LOOSEST = min(cls.level for cls in _NODES.values())
 
 
 class _Parser:
@@ -334,7 +328,6 @@ class _Parser:
         last = self.tokens[-1] if self.tokens else Token(END, "", 1, 1)
         self.tokens.append(Token(END, "", last.line, last.column + len(last.text)))
         self.pos = 0
-        self.depth = 0  # open parentheses around the current position
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -344,23 +337,40 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expression(self, level: int = _LOOSEST) -> Expr:
-        """A left-associative chain of the binary operators at ``level``,
-        over operands that bind tighter."""
-        tighter = level + 1
-        node = self.factor() if tighter == Complement.level else self.expression(tighter)
-        while (cls := _NODES.get(self.peek().kind)) and cls.level == level:
-            self.advance()
-            right = self.factor() if tighter == Complement.level else self.expression(tighter)
-            node = cls(node, right)
-        return node
-
-    def factor(self) -> Expr:
-        node = self.atom()
-        while self.peek().kind == CARET_C:
-            self.advance()
-            node = Complement(node)
-        return node
+    def expression(self) -> Expr:
+        """One expression, read in one loop over one stack of open
+        parenthesis tokens and pending (operator class, left operand)
+        pairs.  After each operand and its ``^c`` run, every pending
+        operator that binds at least as tightly as the next binary
+        operator is built; at any other token, every one back to the
+        innermost open parenthesis, which that token must close.  So
+        chains associate to the left."""
+        stack: list = []
+        node = None  # the operand just read, with the operators built on it
+        while True:
+            if node is None:
+                while self.peek().kind == LPAREN:
+                    stack.append(self.advance())
+                node = self.atom()
+            while self.peek().kind == CARET_C:
+                self.advance()
+                node = Complement(node)
+            cls = _NODES.get(self.peek().kind)
+            level = cls.level if cls and issubclass(cls, _Binary) else 0
+            while stack and isinstance(stack[-1], tuple) and stack[-1][0].level >= level:
+                op, left = stack.pop()
+                node = op(left, node)
+            if level:
+                self.advance()
+                stack.append((cls, node))
+                node = None
+            elif not stack:
+                return node
+            else:
+                opening = stack.pop()
+                if self.peek().kind != RPAREN:
+                    raise ParseError("unbalanced parenthesis", opening.line, opening.column)
+                self.advance()
 
     def atom(self) -> Expr:
         tok = self.peek()
@@ -370,19 +380,6 @@ class _Parser:
         if tok.kind in (EMPTY_KW, UNIV_KW):
             self.advance()
             return _NODES[tok.kind]()
-        if tok.kind == LPAREN:
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column
-                )
-            self.advance()
-            self.depth += 1
-            node = self.expression()
-            self.depth -= 1
-            if self.peek().kind != RPAREN:
-                raise ParseError("unbalanced parenthesis", tok.line, tok.column)
-            self.advance()
-            return node
         if tok.kind == END:
             raise ParseError("unexpected end of input", tok.line, tok.column)
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)

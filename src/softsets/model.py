@@ -25,6 +25,7 @@ OR-ing each image's mask into one integer at its parameter's offset.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -261,6 +262,7 @@ class SoftSet(_Frozen):
     bits: int
 
     def __init__(self, context: Context, bits: int):
+        bits = operator.index(bits)  # a float or other non-integer raises TypeError
         if not 0 <= bits <= context.full_bits:
             raise ValueError(
                 f"bits out of range for a context of "

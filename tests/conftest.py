@@ -1,8 +1,11 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import softsets
 from softsets.houses import RESULTS
 from softsets.laws import _random_soft_set, enumerate_soft_sets
 from softsets.model import Context, new_context, soft_set
@@ -20,6 +23,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports the same softsets
+    the suite is testing."""
+    src = str(Path(softsets.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 """Expression language: lexer, parser, evaluator, renderer."""
 
 import copy
+import functools
 import itertools
 import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,6 @@ from softsets.expr import (
     IMPLIES,
     LE,
     LPAREN,
-    MAX_NESTING,
     MINUS,
     NAME,
     PIPE,
@@ -48,7 +50,7 @@ from softsets.houses import houses_workspace
 from softsets.laws import random_soft_set
 from softsets.model import empty_soft_set, new_context, universal_soft_set
 
-from .conftest import make
+from .conftest import child_env, make
 
 
 def kinds(text):
@@ -57,6 +59,21 @@ def kinds(text):
 
 def _unblanked(text):
     return re.sub(r"[ \t\r\n]", "", text)
+
+
+def _fails_fast_on_recursion(test):
+    """Make ``test`` fail at once where it raises RecursionError: pytest
+    takes minutes to print the traceback of a RecursionError whose
+    frames hold deep trees."""
+
+    @functools.wraps(test)
+    def checked(*args, **kwargs):
+        try:
+            return test(*args, **kwargs)
+        except RecursionError:
+            pytest.fail(f"{test.__name__} raised RecursionError", pytrace=False)
+
+    return checked
 
 
 # Texts drawn from lexemes, near-lexemes (a lone `^` or `<`), blanks and
@@ -287,15 +304,10 @@ class TestParse:
         assert parse(tokenize("F | G")) == Union(Name("F"), Name("G"))
         assert parse(t for t in tokenize("F | G")) == Union(Name("F"), Name("G"))
 
-    def test_nesting_up_to_the_limit_parses(self):
-        text = "(" * MAX_NESTING + "F" + ")" * MAX_NESTING
-        assert parse_text(text) == Name("F")
-
-    def test_nesting_beyond_the_limit_fails_at_the_opening_parenthesis(self):
-        text = "(" * (MAX_NESTING + 1) + "F" + ")" * (MAX_NESTING + 1)
-        with pytest.raises(ParseError) as exc_info:
-            parse_text(text)
-        assert (exc_info.value.line, exc_info.value.column) == (1, MAX_NESTING + 1)
+    @_fails_fast_on_recursion
+    def test_deep_nesting_parses(self):
+        assert parse_text("(" * 3000 + "F" + ")" * 3000) == Name("F")
+        assert parse_text("(" * 3000 + "F" + ")^c" * 3000) == parse_text("F" + "^c" * 3000)
 
 
 class TestEvaluate:
@@ -420,6 +432,7 @@ class TestRender:
         [" & ".join(["F"] * 3000), "F" + "^c" * 3000],
         ids=["3000-term-chain", "3000-complements"],
     )
+    @_fails_fast_on_recursion
     def test_deep_trees_render_and_reparse(self, text):
         tree = parse_text(text)
         rendered = render(tree)
@@ -430,20 +443,57 @@ class TestRender:
     @pytest.mark.parametrize(
         "text",
         [
-            "F" + " & (G | H" * MAX_NESTING + ")" * MAX_NESTING,
-            "F" + " - (G" * MAX_NESTING + ")" * MAX_NESTING,
-            "(" * MAX_NESTING + "F" + " | G)" * MAX_NESTING,
-            "(" * MAX_NESTING + "F" + ")^c" * MAX_NESTING,
+            "F" + " & (G | H" * 1000 + ")" * 1000,
+            "F" + " - (G" * 1000 + ")" * 1000,
+            "(" * 1000 + "F" + " | G)" * 1000,
+            "(" * 1000 + "F" + ")^c" * 1000,
         ],
         ids=["alternating", "right-nested", "left-nested", "complemented"],
     )
+    @_fails_fast_on_recursion
     def test_render_nests_no_deeper_than_its_source(self, text):
         tree = parse_text(text)
         rendered = render(tree)
         depth = max(itertools.accumulate({"(": 1, ")": -1}.get(c, 0) for c in rendered))
-        assert depth <= MAX_NESTING
+        assert depth <= 1000
         assert parse_text(rendered) == tree
         assert render(parse_text(rendered)) == rendered
+
+
+# Parses, evaluates, renders and reparses, compares, hashes, prints,
+# pickles and deep-copies 5,000-deep trees under a recursion limit of 60,
+# which no walk that recurses once per level survives.
+NO_RECURSION = """\
+import copy, io, pickle, sys
+from softsets.expr import evaluate, parse_formula, parse_text, render
+from softsets.houses import houses_workspace
+from softsets.laws import formula_law
+
+ws = houses_workspace()
+f, g = ws.bindings["F"], ws.bindings["G"]
+sys.setrecursionlimit(60)
+n = 5000
+texts = [
+    "(" * n + "F" + ")" * n,
+    " & ".join(["F"] * n),
+    "F" + "^c" * n,
+    "F" + " & (G | F" * n + ")" * n,
+    "(" * n + "F" + ")^c" * n,
+]
+formula = " and ".join(["F <= F | G"] * n) + " => F <= F" + " | G" * n
+for text in texts + [formula]:
+    parse = parse_formula if text is formula else parse_text
+    tree, same, other = parse(text), parse(text), parse(text + " | G")
+    if text is formula:
+        assert formula_law("deep", "F G", text).check(ws.context, (f, g)) is None
+    else:
+        assert evaluate(tree, ws.bindings, ws.context) == f
+        assert parse_text(render(tree)) == tree
+    assert tree == same and hash(tree) == hash(same) and tree != other
+    print(tree, file=io.StringIO())
+    assert pickle.loads(pickle.dumps(tree)) == tree and copy.deepcopy(tree) == tree
+    print("ok")
+"""
 
 
 class TestTreeIdentity:
@@ -452,6 +502,7 @@ class TestTreeIdentity:
         text = " & ".join(["F"] * 3000)
         return parse_text(text), parse_text(text), parse_text(text[:-1] + "G")
 
+    @_fails_fast_on_recursion
     def test_deep_trees_compare_and_hash(self, chains):
         a, b, c = chains
         assert a == b and hash(a) == hash(b)
@@ -459,6 +510,7 @@ class TestTreeIdentity:
         assert {a: 1}[b] == 1
         assert parse_text("F" + "^c" * 3000) != parse_text("F" + "^c" * 2999)
 
+    @_fails_fast_on_recursion
     def test_deep_trees_have_a_repr(self, chains):
         a, _, _ = chains
         text = repr(a)
@@ -479,16 +531,23 @@ class TestTreeIdentity:
         ],
         ids=["3000-term-chain", "3000-complements", "deep-formula"],
     )
+    @_fails_fast_on_recursion
     def test_deep_trees_pickle_and_copy(self, text, parser, round_trip):
         tree = parser(text)
-        try:
-            clone = round_trip(tree)
-        except RecursionError:
-            # fails the asserts below: pytest takes minutes to print the
-            # traceback of a RecursionError whose frames hold deep trees
-            clone = None
+        clone = round_trip(tree)
         assert type(clone) is type(tree) and clone == tree
         assert repr(clone) == repr(tree)
+
+    def test_no_operation_recurses_on_depth(self):
+        # In a child process, so the low recursion limit binds nothing else.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", NO_RECURSION],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "ok\n" * 6
 
     def test_a_name_is_nonempty(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ generation, exhaustive and randomized verification, shrinking."""
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -17,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import softsets
 from softsets import algebra, expr, laws
 from softsets.errors import ContextMismatch, EnumerationTooLarge
 from softsets.houses import bundled_workspace_text
@@ -48,7 +46,7 @@ from softsets.laws import (
 )
 from softsets.model import SoftSet, new_context, soft_set
 
-from .conftest import frame, make
+from .conftest import child_env, frame, make
 from .mutants import BROKEN_LAWS
 
 
@@ -90,6 +88,9 @@ class TestFormulaLaws:
             assert isinstance(law.check, FormulaCheck), law.id
             assert law.check.text == law.statement
             assert law.check.arg_names == law.arg_names
+        assert repr(lookup("subset-iff-cap").check) == (
+            "FormulaCheck('F <= G <=> F & G = F', ('F', 'G'))"
+        )
 
     def test_argument_order_is_fixed(self):
         # the order numbers the exhaustive cases, so it must not follow
@@ -579,11 +580,8 @@ class TestSlicedChecking:
             "        assert softsets.cli.main(argv) == 0, argv\n"
             "    print(argv[0], 'numpy' in sys.modules)\n"
         )
-        src = str(Path(softsets.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
         assert proc.returncode == 0, proc.stderr
         steps = ["check_exhaustive"] + [argv[0] for argv in commands]

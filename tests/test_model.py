@@ -187,6 +187,19 @@ class TestConstruction:
             SoftSet(ctx22, -1)
         assert str(exc_info.value) == message
 
+    @pytest.mark.parametrize("bits", [1.0, 1.5, "1", None])
+    def test_bits_must_be_an_integer(self, ctx22, bits):
+        with pytest.raises(TypeError):
+            SoftSet(ctx22, bits)
+
+    def test_integer_bits_are_stored_as_a_plain_int(self, ctx22):
+        class Bits(int):
+            pass
+
+        for bits in (True, Bits(5)):
+            s = SoftSet(ctx22, bits)
+            assert type(s.bits) is int and s.bits == bits
+
 
 class TestValueSemantics:
     @pytest.mark.parametrize("name", ["bits", "context", "extra"])
