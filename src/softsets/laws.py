@@ -19,7 +19,13 @@ bitwise, so ``softsets.algebra`` itself evaluates all w tuples in one
 call.  Exhaustive checking takes the chunks from the enumeration,
 random checking draws them (``_random_chunk``, at the fixed
 ``DEFINED_DENSITY`` and ``MEMBER_DENSITY``) in rounds, one member
-plane for every image still empty per round.  A law written as text
+plane for every image still empty per round.  Laws with the same frame,
+trial count, arity and seed draw the same tuples, so when one chunk
+covers all the trials they share one memoized draw (``_one_round``).
+Its four entries, one per arity of the catalog, each hold one chunk's
+arguments: at most ``RANDOM_CHUNK_PLANE_BITS`` bits, or one tuple's
+on a frame wider than that.  Checks of more trials than a chunk holds
+draw afresh.  A law written as text
 evaluates them bit-sliced (``FormulaCheck.failures``); any other check
 gets the same tuples one at a time, mapped over the enumeration's
 ``itertools.product`` or transposed from the random chunks.  A single
@@ -290,6 +296,31 @@ def _random_soft_set(
     """One trial of the chunk generator: at width 1, a chunk is the
     packed bits themselves."""
     return SoftSet(ctx, _random_chunk(ctx, 1, rng, defined_density, member_density))
+
+
+def _draw(
+    ctx: Context, width: int, arity: int, rng: random.Random,
+    defined_density: float, member_density: float,
+) -> tuple[int, ...]:
+    """The argument chunks of ``width`` trials of an ``arity``-argument
+    law, drawn one argument after another from ``rng``."""
+    return tuple(
+        _random_chunk(ctx, width, rng, defined_density, member_density) for _ in range(arity)
+    )
+
+
+@lru_cache(maxsize=4)
+def _one_round(
+    ctx: Context, trials: int, arity: int, seed: int,
+    defined_density: float, member_density: float,
+) -> tuple[int, ...]:
+    """The draw of a random check that one chunk covers, which laws of
+    the same frame, trial count, arity and seed share.  The key holds
+    all that the draw depends on, the densities too, so a patched
+    constant gets a new draw.  An entry is one chunk's arguments, at
+    most ``RANDOM_CHUNK_PLANE_BITS`` bits or one tuple's when that is
+    wider, and the four entries fit one draw per arity of the catalog."""
+    return _draw(ctx, trials, arity, random.Random(seed), defined_density, member_density)
 
 
 def random_soft_set(ctx: Context, seed: int) -> SoftSet:
@@ -644,19 +675,27 @@ def check_random(law: Law, ctx: Context, trials: int, seed: int) -> CheckReport:
     from the same chunks.  Both count cases the same way: a failure at
     trial t of the chunk starting at trial s is case s + t + 1.
     Conditional laws sample unconstrained tuples; tuples missing the
-    hypothesis pass vacuously.
+    hypothesis pass vacuously.  When one chunk covers all the trials and
+    the seed is an int, the chunks come from the memo of such draws
+    (``_one_round``); only the draw is kept, and the law is evaluated
+    through ``softsets.algebra`` on every call.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = random.Random(seed)
     n = len(ctx.objects) * len(ctx.parameters)
     per_chunk = max(1, min(1 << CHUNK_BITS, RANDOM_CHUNK_PLANE_BITS // max(1, n * law.arity)))
-    for start in range(0, trials, per_chunk):
+    if trials <= per_chunk and isinstance(seed, int):
+        draws = [(0, _one_round(ctx, trials, law.arity, seed, DEFINED_DENSITY, MEMBER_DENSITY))]
+    else:
+        rng = random.Random(seed)
+        draws = (
+            (start, _draw(ctx, min(per_chunk, trials - start), law.arity, rng,
+                          DEFINED_DENSITY, MEMBER_DENSITY))
+            for start in range(0, trials, per_chunk)
+        )
+    for start, chunks in draws:
         width = min(per_chunk, trials - start)
-        chunks = [
-            _random_chunk(ctx, width, rng, DEFINED_DENSITY, MEMBER_DENSITY)
-            for _ in range(law.arity)
-        ]
         if isinstance(law.check, FormulaCheck):
             failing = law.check.failures(chunks, n, width)
             if failing:

@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -785,6 +786,13 @@ class TestCheckRandom:
         with pytest.raises(ValueError):
             check_random(lookup("bounds"), ctx33, trials=0, seed=0)
 
+    def test_trials_must_be_an_integer(self, ctx33):
+        report = check_random(lookup("bounds"), ctx33, trials=True, seed=0)
+        assert report.cases == 1 and type(report.cases) is int
+        for trials in (2.0, 1.5, "2", None):
+            with pytest.raises(TypeError):
+                check_random(lookup("bounds"), ctx33, trials=trials, seed=0)
+
     def test_failure_reports_the_first_bad_trial(self, ctx33):
         report = check_random(BROKEN_LAWS[0], ctx33, trials=1000, seed=0)
         assert not report.passed
@@ -848,6 +856,107 @@ class TestSlicedRandomChecking:
             tracemalloc.stop()
         assert report.passed
         assert peak < 4_000_000, peak
+
+
+class TestDrawMemo:
+    """Random checks that one chunk covers share their draws through
+    ``laws._one_round``."""
+
+    def test_memo_matches_a_cold_draw(self, monkeypatch):
+        # 108 plane bits put the one-chunk limit at a few trials, so the
+        # trial counts fall on both sides of it on every frame; one shuffled
+        # run over all cases mixes arities, frames, seeds and trial counts
+        monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)
+        cases = []
+        for shape, seed, law, offset in itertools.product(
+            [(0, 0), (1, 1), (3, 2), (6, 6)], range(4), RANDOM_LAWS, (-1, 0, 1)
+        ):
+            per_chunk = max(1, 108 // max(1, shape[0] * shape[1] * law.arity))
+            cases.append((law, frame(*shape), max(1, per_chunk + offset), seed))
+        random.Random(0).shuffle(cases)
+        arities = [law.arity for law, _, _, _ in cases]
+        assert sum(a != b for a, b in zip(arities, arities[1:])) > len(cases) // 2
+        laws._one_round.cache_clear()
+        warm = [check_random(*case) for case in cases]
+        assert laws._one_round.cache_info().hits > 0
+        for case, report in zip(cases, warm):
+            laws._one_round.cache_clear()
+            assert check_random(*case) == report, case
+
+    def test_patched_densities_draw_afresh(self, monkeypatch, ctx33):
+        law = BROKEN_LAWS[0]  # difference commutes
+        for density in (0.6, 1.0, 0.0, 0.6):
+            monkeypatch.setattr(laws, "DEFINED_DENSITY", density)
+            report = check_random(law, ctx33, 100, 0)
+            laws._one_round.cache_clear()
+            assert check_random(law, ctx33, 100, 0) == report, density
+
+    def test_memo_keeps_draws_not_verdicts(self, monkeypatch, ctx22):
+        for law in law_catalog():
+            assert check_random(law, ctx22, trials=1000, seed=0).passed
+        misses = laws._one_round.cache_info().misses
+        for name, mutant in BITWISE_MUTANTS.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(algebra, name, mutant)
+                refuted = 0
+                for law in law_catalog():
+                    cex = check_random(law, ctx22, trials=1000, seed=0).counterexample
+                    if cex is not None:
+                        refuted += 1
+                        assert law.check(cex.context, cex.args) == cex.detail, (name, law.id)
+                assert refuted >= 1, name
+        assert laws._one_round.cache_info().misses == misses  # every draw was memoized
+
+    @pytest.mark.parametrize("sliced", [True, False], ids=["sliced", "per-tuple"])
+    def test_checks_of_several_chunks_are_not_memoized(self, sliced):
+        # the multi-chunk check of test_chunk_memory_is_bounded_on_wide_frames
+        law = lookup("involution")
+        if not sliced:
+            law = _per_tuple(law)
+        laws._one_round.cache_clear()
+        assert check_random(law, frame(40, 40), 20_000 if sliced else 4_000, 0).passed
+        assert laws._one_round.cache_info().currsize == 0
+
+    def test_seeds_that_are_not_ints_are_not_memoized(self, ctx33):
+        # None seeds from the system's entropy, and a bytearray is not
+        # hashable; a string seed is deterministic either way
+        law = BROKEN_LAWS[0]
+        laws._one_round.cache_clear()
+        for seed in (None, bytearray(b"seed"), "seed"):
+            assert not check_random(law, ctx33, 100, seed).passed
+        assert check_random(law, ctx33, 100, "seed") == check_random(law, ctx33, 100, "seed")
+        assert laws._one_round.cache_info().currsize == 0
+
+    def test_threads_get_the_sequential_reports(self, ctx33):
+        # more threads than cores, each with its own seed, switching often:
+        # the memo's four entries are evicted and refilled concurrently
+        seeds = (0, 1, 2, 3)
+
+        def run(seed):
+            return [check_random(law, ctx33, 100, seed) for law in RANDOM_LAWS]
+
+        expected = {seed: run(seed) for seed in seeds}
+        laws._one_round.cache_clear()
+        barrier = threading.Barrier(len(seeds))
+        results = {}
+
+        def worker(seed):
+            barrier.wait()
+            results[seed] = [run(seed) for _ in range(3)]
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
+            assert results[seed] == [expected[seed]] * 3, seed
 
 
 class TestConditionalLaws:
