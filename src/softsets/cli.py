@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="random trials per law (default 1000)",
     )
     p_check.add_argument(
-        "--seed", type=int, default=0, metavar="N",
+        "--seed", type=_int_at_least(0, "must not be negative"), default=0, metavar="N",
         help="seed for random mode (default 0)",
     )
     p_check.add_argument(

@@ -16,22 +16,22 @@ as one integer whose block j (bits j·w to j·w+w-1) is packed bit j of
 that argument across the tuples, bit t for tuple t.  Such an integer is
 a soft set over a chunk frame of n·w bits, and every operation is
 bitwise, so ``softsets.algebra`` itself evaluates all w tuples in one
-call.  Exhaustive checking takes the chunks from the enumeration,
-random checking draws them (``_random_chunk``, at the fixed
-``DEFINED_DENSITY`` and ``MEMBER_DENSITY``) in rounds, one member
-plane for every image still empty per round.  Laws with the same frame,
-trial count, arity and seed draw the same tuples, so when one chunk
-covers all the trials they share one memoized draw (``_one_round``).
-Its four entries, one per arity of the catalog, each hold one chunk's
-arguments: at most ``RANDOM_CHUNK_PLANE_BITS`` bits, or one tuple's
-on a frame wider than that.  Checks of more trials than a chunk holds
-draw afresh.  A law written as text
-evaluates them bit-sliced (``FormulaCheck.failures``); any other check
-gets the same tuples one at a time, mapped over the enumeration's
-``itertools.product`` or transposed from the random chunks.  A single
-tuple is a chunk of width 1 over the tuple's own frame, so the
-check that shrinking and replay call on every law runs the same steps
-as the checkers do.
+call.  Each checker is a source of (start, w, argument chunks) for one
+verdict loop (``_check_chunks``).  Exhaustive checking takes the chunks
+from the enumeration, in ``itertools.product`` order; random checking
+draws them (``_random_chunk``, at the fixed ``DEFINED_DENSITY`` and
+``MEMBER_DENSITY``) in rounds, one member plane for every image still
+empty per round.  Laws with the same frame, trial count, arity and seed
+draw the same tuples, so when one chunk, of at most
+``RANDOM_CHUNK_PLANE_BITS`` bits or one tuple, covers all the trials
+they share one memoized draw (``_one_round``); more trials draw
+afresh.  The loop evaluates a law written as text bit-sliced
+(``FormulaCheck.failures``) and decodes its first failing tuple with
+``_transpose`` in both modes; any other check gets the same tuples one
+at a time, from the enumeration's ``itertools.product`` or transposed
+from the random chunks.  A single tuple is a chunk of width 1 over the
+tuple's own frame, so the check that shrinking and replay call on every
+law runs the same steps as the checkers do.
 """
 
 from __future__ import annotations
@@ -323,10 +323,19 @@ def _one_round(
     return _draw(ctx, trials, arity, random.Random(seed), defined_density, member_density)
 
 
+def _seed(seed: int) -> int:
+    """A seed as an int, refused when negative: ``random.Random`` seeds
+    from the absolute value, so -7 would draw what 7 draws."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must not be negative")
+    return seed
+
+
 def random_soft_set(ctx: Context, seed: int) -> SoftSet:
     """Seeded random soft set, drawn as ``check_random`` draws each
     argument (``DEFINED_DENSITY``, ``MEMBER_DENSITY``)."""
-    return _random_soft_set(ctx, random.Random(seed), DEFINED_DENSITY, MEMBER_DENSITY)
+    return _random_soft_set(ctx, random.Random(_seed(seed)), DEFINED_DENSITY, MEMBER_DENSITY)
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +345,16 @@ def random_soft_set(ctx: Context, seed: int) -> SoftSet:
 # FormulaCheck folds once into a flat list of steps in post-order: EMPTY
 # or UNIVERSAL, an operation of ``softsets.algebra``, a relation or a
 # connective, each reading the arguments or the values of earlier
-# steps.  One loop runs the steps on soft sets that
-# each hold w argument tuples: block j of such a soft set (bits j·w to
-# j·w+w-1) holds packed bit j of one argument across the tuples, bit t
-# for tuple t.  That integer is a soft set over a frame of n·w bits (n
-# packed bits per soft set), and since every operation is bitwise on the
-# packed bits, one algebra call evaluates it for all w tuples.  A
-# relation folds the n blocks where it fails into one truth plane over
-# the tuples, and the connectives combine planes.  The run has two
-# callers:
+# steps.  One loop runs the steps on soft sets that each hold w argument
+# tuples in the chunk layout of the module docstring.  A relation folds
+# the n blocks where it fails into one truth plane over the tuples, and
+# the connectives combine planes.  The run has two callers:
 #
 # * ``check(ctx, args)`` runs the steps on one tuple's soft sets over
 #   their own context, where w = 1, and reads the violation detail off
 #   the values of that run; replay and shrinking use this;
-# * ``failures`` runs them on a chunk of tuples over a chunk frame.
-#   Exhaustive checking builds the chunks of the enumeration
-#   (``first_failure``, tuples in ``itertools.product`` order, the last
-#   argument varying fastest), and random checking draws them
-#   (``check_random``).
+# * ``failures`` runs them on a chunk of tuples over a chunk frame, as
+#   both checkers do (``_check_chunks``).
 
 # Tuple-index bits per chunk: a chunk covers 2**CHUNK_BITS tuples, and
 # higher index bits are constant within a chunk.
@@ -403,9 +404,7 @@ class FormulaCheck:
     Called as ``check(ctx, args)`` it returns None or a violation detail,
     like any law check, and raises ContextMismatch for an argument over
     another frame than ctx.  ``failures`` evaluates a chunk of tuples at
-    once with the same steps, and ``first_failure(ctx)`` finds the index
-    of the first violating tuple of an exhaustive check without building
-    one.
+    once with the same steps.
     """
 
     def __init__(self, text: str, arg_names: tuple[str, ...]):
@@ -506,38 +505,11 @@ class FormulaCheck:
         frame = _ChunkFrame(_ones(n * width))
         return self._run(frame, [SoftSet(frame, chunk) for chunk in chunks], n, width)[0]
 
-    def first_failure(self, ctx: Context) -> int | None:
-        """Every tuple, bit-sliced: the index of the first argument tuple,
-        in ``itertools.product`` order, that violates the law, or None
-        when every tuple satisfies it."""
-        n = len(ctx.objects) * len(ctx.parameters)
-        arity = len(self.arg_names)
-        width = min(n * arity, CHUNK_BITS)
-        first = _first_chunk(n, arity, width)
-        ones = _ones(1 << width)
-        for chunk in range(1 << (n * arity - width)):
-            chunks = first
-            if chunk:  # the index bits above the chunk fill whole blocks
-                high = [0] * width + [ones * (chunk >> k & 1) for k in range(n * arity - width)]
-                chunks = [
-                    arg | _join(high[n * (arity - 1 - i) : n * (arity - i)], 1 << width)
-                    for i, arg in enumerate(first)
-                ]
-            failing = self.failures(chunks, n, 1 << width)
-            if failing:
-                return (chunk << width) + _lowest_bit(failing)
-        return None
-
 
 def _check_contexts(ctx: Context, args: tuple[SoftSet, ...]) -> None:
     for arg in args:
         if arg.context is not ctx and arg.context != ctx:
             raise ContextMismatch(f"an argument lives over {arg.context!r}, not {ctx!r}")
-
-
-def _lowest_bit(plane: int) -> int:
-    """Index of the lowest set bit of a nonzero plane."""
-    return (plane & -plane).bit_length() - 1
 
 
 def formula_law(law_id: str, arg_names: str, text: str) -> Law:
@@ -633,84 +605,93 @@ def _report_violation(
     return CheckReport(law.id, mode, cases, cex, seed)
 
 
-def check_exhaustive(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> CheckReport:
-    """Evaluate the law on every argument tuple over ctx.
+def _exhaustive_chunks(n: int, arity: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The (start, width, argument chunks) of every tuple of ``arity``
+    ``n``-bit soft sets, in ``itertools.product`` order."""
+    width = min(n * arity, CHUNK_BITS)
+    first = _first_chunk(n, arity, width)
+    ones = _ones(1 << width)
+    for chunk in range(1 << (n * arity - width)):
+        chunks = first
+        if chunk:  # the index bits above the chunk fill whole blocks
+            high = [0] * width + [ones * (chunk >> k & 1) for k in range(n * arity - width)]
+            chunks = tuple(
+                arg | _join(high[n * (arity - 1 - i) : n * (arity - i)], 1 << width)
+                for i, arg in enumerate(first)
+            )
+        yield chunk << width, 1 << width, chunks
 
-    A law written as text is checked bit-sliced; any other check is
-    mapped over the tuples in ``itertools.product`` order.  Both count
-    cases the same way: a failure at tuple index t is reported as case
-    t + 1, its arguments decoded from t.
-    """
-    check_cap(law, ctx, cap)
-    index = detail = None
-    if isinstance(law.check, FormulaCheck):
-        index = law.check.first_failure(ctx)
+
+def _random_chunks(ctx: Context, n: int, arity: int, trials: int, seed: int):
+    """The (start, width, argument chunks) of ``trials`` seeded random
+    tuples: the memoized draw when one chunk covers them all."""
+    per_chunk = max(1, min(1 << CHUNK_BITS, RANDOM_CHUNK_PLANE_BITS // max(1, n * arity)))
+    if trials <= per_chunk:
+        yield 0, trials, _one_round(ctx, trials, arity, seed, DEFINED_DENSITY, MEMBER_DENSITY)
+        return
+    rng = random.Random(seed)
+    for start in range(0, trials, per_chunk):
+        width = min(per_chunk, trials - start)
+        yield start, width, _draw(ctx, width, arity, rng, DEFINED_DENSITY, MEMBER_DENSITY)
+
+
+def _transposed(ctx: Context, n: int, source) -> Iterator[tuple[SoftSet, ...]]:
+    """The tuples of the chunks of ``source``, one at a time."""
+    for _, width, chunks in source:
+        columns = [map(partial(SoftSet, ctx), _transpose(chunk, n, width)) for chunk in chunks]
+        yield from zip(*columns) if columns else itertools.repeat((), width)
+
+
+def _check_chunks(
+    law: Law, mode: str, ctx: Context, source, cases: int, seed: int | None, tuples=None
+) -> CheckReport:
+    """The report of ``law`` on the chunks of ``source``.  A law written
+    as text evaluates each chunk bit-sliced; any other check is called on
+    each tuple of ``tuples()``, or of the chunks transposed.  A failure at
+    tuple t of the chunk from tuple s on is case s + t + 1."""
+    n = len(ctx.objects) * len(ctx.parameters)
+    check = law.check  # bound once: looked up per tuple, it slowed this loop by about 4%
+    if isinstance(check, FormulaCheck):
+        for start, width, chunks in source:
+            failing = check.failures(chunks, n, width)
+            if failing:
+                t = (failing & -failing).bit_length() - 1  # the first failing tuple
+                args = tuple(SoftSet(ctx, next(_transpose(chunk, n, width, t))) for chunk in chunks)
+                detail = check(ctx, args)
+                return _report_violation(law, mode, start + t + 1, ctx, args, seed, detail)
     else:
+        for case, args in enumerate(tuples() if tuples else _transposed(ctx, n, source), 1):
+            detail = check(ctx, args)
+            if detail is not None:
+                return _report_violation(law, mode, case, ctx, args, seed, detail)
+    return CheckReport(law.id, mode, cases, None, seed)
+
+
+def check_exhaustive(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> CheckReport:
+    """Evaluate the law on every argument tuple over ctx."""
+    check_cap(law, ctx, cap)
+    n = len(ctx.objects) * len(ctx.parameters)
+
+    def tuples():
         # An arity-0 law has one case, the empty tuple, whatever the frame.
         all_sets = list(enumerate_soft_sets(ctx, cap=cap)) if law.arity else []
-        tuples = itertools.product(all_sets, repeat=law.arity)
-        for t, detail in enumerate(map(law.check, itertools.repeat(ctx), tuples)):
-            if detail is not None:
-                index = t
-                break
-    n_bits = len(ctx.objects) * len(ctx.parameters)
-    if index is None:
-        return CheckReport(law.id, "exhaustive", 1 << n_bits * law.arity, None, None)
-    mask = (1 << n_bits) - 1
-    args = tuple(
-        SoftSet(ctx, index >> n_bits * (law.arity - 1 - i) & mask) for i in range(law.arity)
-    )
-    if detail is None:  # the bit-sliced search formats no detail
-        detail = law.check(ctx, args)
-    return _report_violation(law, "exhaustive", index + 1, ctx, args, None, detail)
+        return itertools.product(all_sets, repeat=law.arity)
+
+    chunks = _exhaustive_chunks(n, law.arity)
+    return _check_chunks(law, "exhaustive", ctx, chunks, 1 << n * law.arity, None, tuples)
 
 
 def check_random(law: Law, ctx: Context, trials: int, seed: int) -> CheckReport:
-    """Evaluate the law on ``trials`` seeded random argument tuples.
-
-    Deterministic for a fixed seed.  The tuples are drawn in chunks of
-    trials (``_random_chunk``, at ``DEFINED_DENSITY`` and
-    ``MEMBER_DENSITY``); a law written as text evaluates a chunk
-    bit-sliced, and any other check is called once per tuple, transposed
-    from the same chunks.  Both count cases the same way: a failure at
-    trial t of the chunk starting at trial s is case s + t + 1.
+    """Evaluate the law on ``trials`` tuples drawn in chunks from the
+    seed (``_random_chunk``, at ``DEFINED_DENSITY`` and ``MEMBER_DENSITY``).
     Conditional laws sample unconstrained tuples; tuples missing the
-    hypothesis pass vacuously.  When one chunk covers all the trials and
-    the seed is an int, the chunks come from the memo of such draws
-    (``_one_round``); only the draw is kept, and the law is evaluated
-    through ``softsets.algebra`` on every call.
-    """
-    trials = operator.index(trials)
+    hypothesis pass vacuously."""
+    trials, seed = operator.index(trials), _seed(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n = len(ctx.objects) * len(ctx.parameters)
-    per_chunk = max(1, min(1 << CHUNK_BITS, RANDOM_CHUNK_PLANE_BITS // max(1, n * law.arity)))
-    if trials <= per_chunk and isinstance(seed, int):
-        draws = [(0, _one_round(ctx, trials, law.arity, seed, DEFINED_DENSITY, MEMBER_DENSITY))]
-    else:
-        rng = random.Random(seed)
-        draws = (
-            (start, _draw(ctx, min(per_chunk, trials - start), law.arity, rng,
-                          DEFINED_DENSITY, MEMBER_DENSITY))
-            for start in range(0, trials, per_chunk)
-        )
-    for start, chunks in draws:
-        width = min(per_chunk, trials - start)
-        if isinstance(law.check, FormulaCheck):
-            failing = law.check.failures(chunks, n, width)
-            if failing:
-                t = _lowest_bit(failing)
-                args = tuple(SoftSet(ctx, next(_transpose(chunk, n, width, t))) for chunk in chunks)
-                detail = law.check(ctx, args)
-                return _report_violation(law, "random", start + t + 1, ctx, args, seed, detail)
-            continue
-        columns = [map(partial(SoftSet, ctx), _transpose(chunk, n, width)) for chunk in chunks]
-        tuples = zip(*columns) if columns else itertools.repeat((), width)
-        for case, args in enumerate(tuples, start + 1):
-            detail = law.check(ctx, args)
-            if detail is not None:
-                return _report_violation(law, "random", case, ctx, args, seed, detail)
-    return CheckReport(law.id, "random", trials, None, seed)
+    chunks = _random_chunks(ctx, n, law.arity, trials, seed)
+    return _check_chunks(law, "random", ctx, chunks, trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,10 @@ class Context(_Frozen):
     ordered parameter space.  Declaration order is the canonical order used
     by every rendering.  Immutable; equal contexts are interchangeable.
 
-    Duplicate and empty identifier strings are rejected.  A fully empty
-    context is legal; a context with parameters but no objects is not.
+    Duplicate and empty identifier strings are rejected, and so is a bare
+    string for either sequence, which would split into one-character
+    names.  A fully empty context is legal; a context with parameters but
+    no objects is not.
 
     ``full_mask`` (bitmask of the whole universe) and ``full_bits``
     (packed bits of the universal soft set: every mask full) are
@@ -144,6 +146,8 @@ class Context(_Frozen):
     full_bits: int
 
     def __init__(self, objects: Sequence[str], parameters: Sequence[str]):
+        if isinstance(objects, str) or isinstance(parameters, str):
+            raise TypeError("objects and parameters are sequences of names, not one string")
         objects, parameters = tuple(objects), tuple(parameters)
         _check_identifiers("object", objects)
         _check_identifiers("parameter", parameters)

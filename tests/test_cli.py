@@ -379,6 +379,7 @@ class TestUsageErrors:
             ("--params", "x", "invalid int value: 'x'"),
             ("--params", "-1", "must not be negative"),
             ("--seed", "x", "invalid int value: 'x'"),
+            ("--seed", "-1", "must not be negative"),
         ],
     )
     def test_a_bad_count_reads_as_an_int_or_its_range(self, capsys, option, value, message):

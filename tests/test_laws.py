@@ -481,6 +481,46 @@ def test_exhaustive_driver_matches_a_tuple_by_tuple_loop(law, shape):
         assert report.cases == soft_set_count(ctx) ** 2
 
 
+def _random_by_loop(law, ctx, trials, seed):
+    """Reference for the random driver of a plain-Python check: draw the
+    chunks as ``laws._draw`` does, transpose each, and call the check on
+    each tuple in turn."""
+    n = len(ctx.objects) * len(ctx.parameters)
+    per_chunk = max(1, min(1 << CHUNK_BITS, laws.RANDOM_CHUNK_PLANE_BITS // max(1, n * law.arity)))
+    rng = random.Random(seed)
+    rows = []
+    for start in range(0, trials, per_chunk):
+        width = min(per_chunk, trials - start)
+        chunks = laws._draw(ctx, width, law.arity, rng, laws.DEFINED_DENSITY, laws.MEMBER_DENSITY)
+        columns = [[SoftSet(ctx, bits) for bits in _transpose(chunk, n, width)] for chunk in chunks]
+        rows += zip(*columns) if columns else [()] * width
+    assert len(rows) == trials
+    for case, args in enumerate(rows, 1):
+        detail = law.check(ctx, args)
+        if detail is not None:
+            return _report_violation(law, "random", case, ctx, args, seed, detail)
+    return CheckReport(law.id, "random", trials, None, seed)
+
+
+@pytest.mark.parametrize("law", PLAIN_LAWS.values(), ids=PLAIN_LAWS)
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (2, 2)])
+def test_random_driver_matches_a_tuple_by_tuple_loop(law, shape, monkeypatch):
+    ctx = frame(*shape)
+    for trials, seed in itertools.product((1, 7), (0, 5)):
+        assert check_random(law, ctx, trials, seed) == _random_by_loop(law, ctx, trials, seed)
+    # 108 plane bits make chunks of a few trials; the trial counts fall on
+    # both sides of a chunk boundary and span several chunks
+    monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)
+    n = shape[0] * shape[1]
+    per_chunk = max(1, 108 // max(1, n * law.arity))
+    for trials in (per_chunk - 1, per_chunk, per_chunk + 1, 3 * per_chunk + 1):
+        if trials:
+            report = check_random(law, ctx, trials, 0)
+            assert report == _random_by_loop(law, ctx, trials, 0), trials
+    if law.arity == 0:
+        assert report.cases == (1 if law.id == "false" else trials)
+
+
 # Textbook identities that the catalog omits (ROADMAP item 1), written
 # here rather than in the catalog so that `check-laws` output and every
 # pin stay as they are.
@@ -536,7 +576,6 @@ class TestSlicedChecking:
             except EnumerationTooLarge:
                 continue
             expected = _first_failure_by_scan(law, ctx)
-            assert law.check.first_failure(ctx) == expected, (n_objects, n_params)
             report = check_exhaustive(law, ctx)
             if expected is None:
                 assert report.passed
@@ -548,9 +587,10 @@ class TestSlicedChecking:
 
     def test_first_failure_past_the_first_chunk(self, ctx32):
         law = TEXT_LAWS[-1]
-        index = law.check.first_failure(ctx32)
-        assert index == (63 << 12) + 1  # F universal, G empty, H the first nonempty set
-        assert index >= 1 << CHUNK_BITS
+        # case (63 << 12) + 2 is index (63 << 12) + 1: F universal, G
+        # empty, H the first nonempty set, in the fourth chunk
+        assert check_exhaustive(law, ctx32).cases == (63 << 12) + 2
+        assert (63 << 12) + 1 >= 1 << CHUNK_BITS
 
     def test_difference_monotonicity_is_refuted(self, ctx22, ctx33):
         law = BROKEN_LAWS[-1]
@@ -917,14 +957,19 @@ class TestDrawMemo:
         assert check_random(law, frame(40, 40), 20_000 if sliced else 4_000, 0).passed
         assert laws._one_round.cache_info().currsize == 0
 
-    def test_seeds_that_are_not_ints_are_not_memoized(self, ctx33):
-        # None seeds from the system's entropy, and a bytearray is not
-        # hashable; a string seed is deterministic either way
-        law = BROKEN_LAWS[0]
+    def test_seeds_that_are_not_non_negative_ints_are_refused(self, ctx33, monkeypatch):
+        # Random(-1) would draw what Random(1) draws; None would seed from
+        # the system's entropy.  Each is refused before any draw.
+        def no_draw(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(laws, "_random_chunk", no_draw)
         laws._one_round.cache_clear()
-        for seed in (None, bytearray(b"seed"), "seed"):
-            assert not check_random(law, ctx33, 100, seed).passed
-        assert check_random(law, ctx33, 100, "seed") == check_random(law, ctx33, 100, "seed")
+        for seed, error in ((None, TypeError), ("0", TypeError), (1.0, TypeError), (-1, ValueError)):
+            with pytest.raises(error):
+                check_random(BROKEN_LAWS[0], ctx33, 100, seed)
+            with pytest.raises(error):
+                random_soft_set(ctx33, seed)
         assert laws._one_round.cache_info().currsize == 0
 
     def test_threads_get_the_sequential_reports(self, ctx33):

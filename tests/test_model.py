@@ -90,6 +90,12 @@ class TestContext:
         with pytest.raises(BadIdentifier):
             new_context((bad,), ())
 
+    def test_a_bare_string_is_not_a_sequence_of_names(self):
+        # tuple("h1") would make the frame of objects "h" and "1"
+        for objects, parameters in (("h1", ("e1",)), (("h1",), "e1"), ("", ())):
+            with pytest.raises(TypeError):
+                new_context(objects, parameters)
+
     def test_parameters_need_a_universe(self):
         # no parameter can have a nonempty image over an empty universe
         with pytest.raises(EmptyUniverse):
