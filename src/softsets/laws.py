@@ -26,10 +26,13 @@ draw the same tuples, so when one chunk, of at most
 ``RANDOM_CHUNK_PLANE_BITS`` bits or one tuple, covers all the trials
 they share one memoized draw (``_one_round``); more trials draw
 afresh.  The loop evaluates a law written as text bit-sliced
-(``FormulaCheck.failures``) and decodes its first failing tuple with
-``_transpose`` in both modes; any other check gets the same tuples one
-at a time, from the enumeration's ``itertools.product`` or transposed
-from the random chunks.  A single tuple is a chunk of width 1 over the
+(``FormulaCheck.failures``) and reads only its first failing tuple off
+the chunks (``_trial``) in both modes; any other check gets the same
+tuples one at a time, from the enumeration's ``itertools.product`` or
+transposed from the random chunks (``_transpose``).  The decoded and
+transposed tuples, like the shrink candidates, are in range by
+construction and skip ``SoftSet``'s range check, as the algebra's
+results do.  A single tuple is a chunk of width 1 over the
 tuple's own frame, so the check that shrinking and replay call on every
 law runs the same steps as the checkers do.
 """
@@ -45,7 +48,7 @@ from functools import cache, lru_cache, partial
 
 from . import algebra, expr
 from .errors import DEFAULT_CAP, ContextMismatch, EnumerationTooLarge
-from .model import Context, SoftSet, empty_soft_set, universal_soft_set
+from .model import Context, SoftSet, _bare_soft_set, empty_soft_set, universal_soft_set
 
 __all__ = [
     "DEFAULT_CAP",
@@ -274,10 +277,9 @@ def _random_chunk(
     return chunk
 
 
-def _transpose(wide: int, n: int, width: int, first: int = 0) -> Iterator[int]:
-    """The packed bits of each trial of an ``n``-block chunk from trial
-    ``first`` on, in trial order: bit j of trial t's value is bit t of
-    block j.
+def _transpose(wide: int, n: int, width: int) -> Iterator[int]:
+    """The packed bits of each trial of an ``n``-block chunk, in trial
+    order: bit j of trial t's value is bit t of block j.
 
     The chunk's binary digits are written once, most significant first,
     below a one bit a whole block above the chunk; trial t's digits are
@@ -287,7 +289,19 @@ def _transpose(wide: int, n: int, width: int, first: int = 0) -> Iterator[int]:
     ``format(wide, "0Nb")`` copies them into a second string: on the
     40 x 40 memory test that copy peaked at about 4.5 MB."""
     digits = bin(wide | 1 << (n + 1) * width)
-    return (int(digits[width + 2 - t :: width], 2) for t in range(first, width))
+    return (int(digits[width + 2 - t :: width], 2) for t in range(width))
+
+
+def _trial(wide: int, n: int, width: int, t: int) -> int:
+    """The packed bits of trial ``t`` alone of an ``n``-block chunk, as
+    ``_transpose`` reads them: bit j is bit j·width + t of ``wide``.  The
+    chunk is written out once, as bytes, and only those n bits are read,
+    where ``_transpose`` would write all ``width`` trials' digits."""
+    data = wide.to_bytes(n * width + 7 >> 3, "little")
+    bits = 0
+    for p in range(t + (n - 1) * width, t - 1, -width):
+        bits = bits << 1 | data[p >> 3] >> (p & 7) & 1
+    return bits
 
 
 def _random_soft_set(
@@ -638,7 +652,9 @@ def _random_chunks(ctx: Context, n: int, arity: int, trials: int, seed: int):
 def _transposed(ctx: Context, n: int, source) -> Iterator[tuple[SoftSet, ...]]:
     """The tuples of the chunks of ``source``, one at a time."""
     for _, width, chunks in source:
-        columns = [map(partial(SoftSet, ctx), _transpose(chunk, n, width)) for chunk in chunks]
+        columns = [
+            map(partial(_bare_soft_set, ctx), _transpose(chunk, n, width)) for chunk in chunks
+        ]
         yield from zip(*columns) if columns else itertools.repeat((), width)
 
 
@@ -656,7 +672,7 @@ def _check_chunks(
             failing = check.failures(chunks, n, width)
             if failing:
                 t = (failing & -failing).bit_length() - 1  # the first failing tuple
-                args = tuple(SoftSet(ctx, next(_transpose(chunk, n, width, t))) for chunk in chunks)
+                args = tuple(_bare_soft_set(ctx, _trial(chunk, n, width, t)) for chunk in chunks)
                 detail = check(ctx, args)
                 return _report_violation(law, mode, start + t + 1, ctx, args, seed, detail)
     else:
@@ -723,7 +739,7 @@ def _reductions(
         smaller = Context._cut(ctx.objects, ctx.parameters[:j] + ctx.parameters[j + 1 :])
         low = (1 << offset) - 1
         yield smaller, tuple(
-            SoftSet(smaller, a.bits >> offset + n_objects << offset | a.bits & low)
+            _bare_soft_set(smaller, a.bits >> offset + n_objects << offset | a.bits & low)
             for a in args
         )
 
@@ -732,19 +748,23 @@ def _reductions(
         for offset in offsets:
             block = full << offset
             if a.bits & block:
-                yield ctx, args[:i] + (SoftSet(ctx, a.bits & ~block),) + args[i + 1 :]
+                yield ctx, args[:i] + (_bare_soft_set(ctx, a.bits & ~block),) + args[i + 1 :]
 
     # Drop an object from the universe (images losing their last member
     # become undefined; an emptied universe is only legal without
-    # parameters).
+    # parameters): squeeze its bit out of every mask, and pack the masks
+    # again, one bit narrower.
     if n_objects > 1 or n_params == 0:
         arg_masks = [a.masks for a in args]
         for k in range(n_objects):
             smaller = Context._cut(ctx.objects[:k] + ctx.objects[k + 1 :], ctx.parameters)
-            yield smaller, tuple(
-                SoftSet.from_masks(smaller, (_squeeze_bit(m, k) for m in masks))
-                for masks in arg_masks
-            )
+            candidate = []
+            for masks in arg_masks:
+                bits = 0
+                for m in masks:
+                    bits = bits << n_objects - 1 | _squeeze_bit(m, k)
+                candidate.append(_bare_soft_set(smaller, bits))
+            yield smaller, tuple(candidate)
 
     # Remove one object from one image, keeping the image nonempty: clear
     # one bit of a block with at least two set.
@@ -754,7 +774,7 @@ def _reductions(
             if m & m - 1:
                 for k in range(n_objects):
                     if m >> k & 1:
-                        reduced = SoftSet(ctx, a.bits ^ 1 << offset + k)
+                        reduced = _bare_soft_set(ctx, a.bits ^ 1 << offset + k)
                         yield ctx, args[:i] + (reduced,) + args[i + 1 :]
 
 
@@ -768,9 +788,10 @@ def shrink(
     Deterministic, and only locally minimal.  A candidate violates the
     law when the law's check returns a detail for it.
     """
+    check = law.check
     while True:
         for smaller_ctx, smaller_args in _reductions(ctx, args):
-            if law.check(smaller_ctx, smaller_args) is not None:
+            if check(smaller_ctx, smaller_args) is not None:
                 ctx, args = smaller_ctx, smaller_args
                 break
         else:

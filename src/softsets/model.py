@@ -13,8 +13,12 @@ precisely because images are never empty.  Each operation of the
 algebra is then a single integer operation on the packed bits, and
 counting the integers 0, 1, ... enumerates soft sets in the order of the
 per-parameter mask tuples (last parameter fastest).  Rendering reads
-the per-parameter masks, unpacked on demand; shrinking works on the
-packed bits, and unpacks masks only to drop an object.
+each image straight from the packed bits, shifted down by its
+parameter's offset; shrinking works on the packed bits, and unpacks
+masks only to drop an object.  Shrink candidates and the tuples law
+checking transposes from its chunks cannot leave [0, full_bits], so
+they skip the range check of ``SoftSet.__init__``, as the algebra's
+results do (:func:`_bare_soft_set`).
 
 A context keeps one lookup map per axis for this layout: ``object_bit``
 (each object's bit in a mask) and ``parameter_offset`` (each
@@ -356,16 +360,33 @@ _set_context = SoftSet.context.__set__
 _set_bits = SoftSet.bits.__set__
 
 
+def _bare_soft_set(context: Context, bits: int) -> SoftSet:
+    """The soft set of ``bits`` over ``context``, built as the algebra
+    builds its results: without ``__init__`` and its range check, for
+    bits in [0, context.full_bits] by construction.  Law checking builds
+    its shrink candidates and transposed tuples with it."""
+    s = object.__new__(SoftSet)
+    _set_context(s, context)
+    _set_bits(s, bits)
+    return s
+
+
 def _image_lines(s: SoftSet, indent: str) -> list[str]:
     """One ``parameter: object object`` line per defined parameter, in
     context order, each after ``indent``: the workspace format's image
-    lines, which ``SoftSet``'s repr also joins."""
+    lines, which ``SoftSet``'s repr also joins.  Each image is read
+    straight from the packed bits, at its parameter's offset."""
     ctx = s.context
-    return [
-        f"{indent}{name}: {' '.join(_members(ctx.objects, m))}"
-        for name, m in zip(ctx.parameters, s.masks)
-        if m
-    ]
+    objects, full, bits = ctx.objects, ctx.full_mask, s.bits
+    width = len(objects)
+    offset = width * len(ctx.parameters)
+    lines = []
+    for name in ctx.parameters:
+        offset -= width
+        m = bits >> offset & full
+        if m:
+            lines.append(f"{indent}{name}: {' '.join(_members(objects, m))}")
+    return lines
 
 
 def _pack_pairs(

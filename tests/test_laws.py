@@ -37,13 +37,17 @@ from softsets.laws import (
     shrink,
     soft_set_count,
     _bernoulli,
+    _exhaustive_chunks,
     _random_chunk,
+    _random_chunks,
     _random_soft_set,
     _reductions,
     _report_violation,
     _split,
     _squeeze_bit,
     _transpose,
+    _transposed,
+    _trial,
 )
 from softsets.model import SoftSet, new_context, soft_set
 
@@ -293,7 +297,7 @@ class TestPlaneGenerator:
         # trial t's value gathers bit t of every block, block j at bit j
         chunk = 0b0001_1100_0110
         assert list(_transpose(chunk, 3, 4)) == [0b100, 0b001, 0b011, 0b010]
-        assert list(_transpose(chunk, 3, 4, 2)) == [0b011, 0b010]
+        assert [_trial(chunk, 3, 4, t) for t in range(4)] == [0b100, 0b001, 0b011, 0b010]
         assert list(_transpose(0, 0, 3)) == [0, 0, 0]
 
 
@@ -558,6 +562,11 @@ FRAMES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3)]
 
 
 
+def _nth(trials, t):
+    """Trial ``t`` of a transposition."""
+    return next(itertools.islice(trials, t, None))
+
+
 def _first_failure_by_scan(law, ctx):
     sets = list(enumerate_soft_sets(ctx))
     for index, args in enumerate(itertools.product(sets, repeat=law.arity)):
@@ -591,6 +600,24 @@ class TestSlicedChecking:
         # empty, H the first nonempty set, in the fourth chunk
         assert check_exhaustive(law, ctx32).cases == (63 << 12) + 2
         assert (63 << 12) + 1 >= 1 << CHUNK_BITS
+
+    @pytest.mark.parametrize(
+        "n_objects, n_params, arity",
+        [(0, 0, 2), (1, 1, 1), (2, 2, 2), (2, 2, 4), (4, 4, 1), (3, 2, 3), (3, 3, 2)],
+    )
+    def test_a_failing_tuple_decodes_as_the_transposition_reads_it(
+        self, n_objects, n_params, arity
+    ):
+        # the first and last chunks and the first, a middle and the last
+        # trial of each; the last three frames take more than one chunk
+        n = n_objects * n_params
+        chunks = list(_exhaustive_chunks(n, arity))
+        assert (len(chunks) > 1) == (n * arity > CHUNK_BITS)
+        ends = [chunks[0], chunks[-1]] if len(chunks) > 1 else chunks
+        for _, width, args in ends:
+            for t in (0, width // 2, width - 1):
+                for chunk in args:
+                    assert _trial(chunk, n, width, t) == _nth(_transpose(chunk, n, width), t)
 
     def test_difference_monotonicity_is_refuted(self, ctx22, ctx33):
         law = BROKEN_LAWS[-1]
@@ -871,6 +898,36 @@ class TestSlicedRandomChecking:
             for seed in (0, 3):
                 report = check_random(law, ctx, trials, seed)
                 assert report == check_random(scalar, ctx, trials, seed)
+
+    @pytest.mark.parametrize("trials", [1, 50, 100])
+    def test_a_failing_tuple_decodes_as_the_transposition_reads_it(self, trials, monkeypatch):
+        # 108 plane bits make chunks of 12, 6 and 4 trials at 3 x 3, so
+        # 50 and 100 trials take several chunks
+        monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)
+        ctx = frame(3, 3)
+        for arity, seed in itertools.product((1, 2, 3), (0, 5)):
+            for _, width, args in _random_chunks(ctx, 9, arity, trials, seed):
+                for t in {0, width // 2, width - 1}:
+                    for chunk in args:
+                        assert _trial(chunk, 9, width, t) == _nth(_transpose(chunk, 9, width), t)
+
+    @pytest.mark.parametrize("n_objects, n_params", [(0, 0), (1, 1), (6, 6), (40, 40)])
+    def test_transposed_tuples_are_plain_soft_sets(self, n_objects, n_params, monkeypatch):
+        # the tuples are built without SoftSet.__init__; each equals the
+        # soft set __init__ builds from its bits, which checks the range.
+        # 2,000 plane bits split 20 trials at 6 x 6 into chunks
+        monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 2_000)
+        ctx = frame(n_objects, n_params)
+        n = n_objects * n_params
+        for arity, seed in itertools.product((1, 2), (0, 1, 7)):
+            tuples = list(_transposed(ctx, n, _random_chunks(ctx, n, arity, 20, seed)))
+            assert len(tuples) == 20
+            for args in tuples:
+                assert len(args) == arity
+                for a in args:
+                    assert type(a) is SoftSet
+                    assert a.context is ctx
+                    assert a == SoftSet(ctx, a.bits)
 
     def test_failures_past_the_first_chunk_are_found(self, monkeypatch):
         monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)

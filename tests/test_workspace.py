@@ -16,8 +16,8 @@ from softsets.houses import (
     houses_workspace,
     recorded_soft_set,
 )
-from softsets.laws import enumerate_soft_sets
-from softsets.model import SoftSet, new_context, soft_set
+from softsets.laws import enumerate_soft_sets, random_soft_set
+from softsets.model import SoftSet, empty_soft_set, new_context, soft_set, universal_soft_set
 from softsets.workspace import (
     Workspace,
     load_workspace,
@@ -25,7 +25,7 @@ from softsets.workspace import (
     render_workspace,
 )
 
-from .conftest import make
+from .conftest import frame, make
 
 # The copy of the houses workspace that the README's examples run.
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "houses.sset"
@@ -344,6 +344,34 @@ def test_wide_frame_round_trip(n_objects):
             if m
         )
         assert render_soft_set(s) == expected
+
+
+def _reference_lines(s, indent):
+    """The image lines of ``s``, built from ``s.masks`` and the objects."""
+    ctx = s.context
+    return [
+        f"{indent}{p}: " + " ".join(o for i, o in enumerate(ctx.objects) if m >> i & 1)
+        for p, m in zip(ctx.parameters, s.masks)
+        if m
+    ]
+
+
+@pytest.mark.parametrize("n_objects, n_params", [(0, 0), (3, 0), (1, 1), (6, 6), (65, 4), (130, 4)])
+def test_renderings_match_a_reference_built_from_the_masks(n_objects, n_params):
+    ctx = frame(n_objects, n_params)
+    cases = [empty_soft_set(ctx), universal_soft_set(ctx)]
+    cases += [random_soft_set(ctx, seed) for seed in range(10)]
+    for s in cases:
+        lines = _reference_lines(s, "")
+        assert repr(s) == "SoftSet({" + "; ".join(lines) + "})"
+        assert render_soft_set(s) == "".join(line + "\n" for line in lines)
+        expected = [
+            f"universe: {' '.join(ctx.objects)}".rstrip(),
+            f"parameters: {' '.join(ctx.parameters)}".rstrip(),
+            "softset F:",
+            *_reference_lines(s, "  "),
+        ]
+        assert render_workspace(Workspace(ctx, {"F": s})) == "\n".join(expected) + "\n"
 
 
 def _reference_load(text):
