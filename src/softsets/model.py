@@ -256,7 +256,8 @@ class SoftSet(_Frozen):
     :meth:`from_masks`) rather than packing bits by hand.
 
     A slotted class: its two attributes are set once, in ``__init__``
-    (or by ``softsets.algebra``, through the same slot setters), and any
+    (or, for bits in range by construction, by ``softsets.algebra`` and
+    :func:`_bare_soft_set`, through the same slot setters), and any
     later assignment or deletion raises ``FrozenInstanceError``.
     ``masks`` and ``assignment`` unpack ``bits`` again on each access.
     Soft sets are equal, and hash equal, when their bits are equal and

@@ -609,7 +609,7 @@ class TestSlicedChecking:
         self, n_objects, n_params, arity
     ):
         # the first and last chunks and the first, a middle and the last
-        # trial of each; the last three frames take more than one chunk
+        # trial of each; the last two frames take more than one chunk
         n = n_objects * n_params
         chunks = list(_exhaustive_chunks(n, arity))
         assert (len(chunks) > 1) == (n * arity > CHUNK_BITS)
@@ -907,7 +907,7 @@ class TestSlicedRandomChecking:
         ctx = frame(3, 3)
         for arity, seed in itertools.product((1, 2, 3), (0, 5)):
             for _, width, args in _random_chunks(ctx, 9, arity, trials, seed):
-                for t in {0, width // 2, width - 1}:
+                for t in (0, width // 2, width - 1):
                     for chunk in args:
                         assert _trial(chunk, 9, width, t) == _nth(_transpose(chunk, 9, width), t)
 
