@@ -1,7 +1,7 @@
 """Executable catalog of the soft-set algebra laws, plus the machinery
 to verify them: an exhaustive enumerator over small contexts, a seeded
-random generator, exhaustive and randomized checkers, and greedy
-counterexample shrinking.
+random generator, exhaustive and randomized checkers, and shrinking of
+a counterexample to one cell.
 
 Every law is a named, arity-tagged identity whose ``check`` procedure
 either returns None (the law holds on the given arguments) or a short
@@ -35,6 +35,11 @@ construction and skip ``SoftSet``'s range check, as the algebra's
 results do.  A single tuple is a chunk of width 1 over the
 tuple's own frame, so the check that shrinking and replay call on every
 law runs the same steps as the checkers do.
+
+Shrinking restricts a failing tuple to one cell of its frame, one object
+by one parameter, keeping the first cell where the law still fails, and
+then empties each argument it can (``shrink``).  For a law written as
+text such a cell always exists, so its counterexample is always 1x1.
 """
 
 from __future__ import annotations
@@ -84,11 +89,12 @@ class Law:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A violating argument tuple, shrunk to a local minimum.
+    """A violating argument tuple, shrunk to one cell where it can be.
 
-    Shrinking may remove objects and parameters from the frame, so the
-    counterexample carries its own (possibly smaller) context.  Feeding
-    ``args`` back into the law's check reproduces the violation.
+    Shrinking restricts the tuple to one object and one parameter when
+    the law still fails there, so the counterexample carries its own
+    (possibly smaller) context.  Feeding ``args`` back into the law's
+    check reproduces the violation.
     """
 
     context: Context
@@ -614,7 +620,7 @@ def _report_violation(
     else:
         sctx, sargs = shrink(law, ctx, args)
         detail = law.check(sctx, sargs)
-        assert detail is not None  # shrink only accepts still-violating reductions
+        assert detail is not None  # shrink returns only tuples that still violate the law
     cex = Counterexample(sctx, sargs, detail, _render_counterexample(law, sctx, sargs))
     return CheckReport(law.id, mode, cases, cex, seed)
 
@@ -714,85 +720,53 @@ def check_random(law: Law, ctx: Context, trials: int, seed: int) -> CheckReport:
 # Shrinking
 
 
-def _squeeze_bit(mask: int, k: int) -> int:
-    low = mask & ((1 << k) - 1)
-    return (mask >> (k + 1)) << k | low
-
-
-def _reductions(
+def _cells(
     ctx: Context, args: tuple[SoftSet, ...]
 ) -> Iterator[tuple[Context, tuple[SoftSet, ...]]]:
-    """Candidate reductions in a fixed order: parameter-level reductions
-    first, then object-level ones, as ties go to earlier arguments and
-    earlier context positions.  All but dropping an object work on the
-    packed bits, where parameter j's mask is the block at ``offsets[j]``."""
-    n_params = len(ctx.parameters)
-    n_objects = len(ctx.objects)
-    full = ctx.full_mask
-    offsets = [n_objects * (n_params - 1 - j) for j in range(n_params)]
-
-    # Drop a parameter from the frame entirely: splice its block out.  A
-    # frame cut from a valid one is built without checking its names
-    # again (``Context._cut``); an object is dropped below only while the
-    # universe stays nonempty or there are no parameters.
-    for j, offset in enumerate(offsets):
-        smaller = Context._cut(ctx.objects, ctx.parameters[:j] + ctx.parameters[j + 1 :])
-        low = (1 << offset) - 1
-        yield smaller, tuple(
-            _bare_soft_set(smaller, a.bits >> offset + n_objects << offset | a.bits & low)
-            for a in args
-        )
-
-    # Make one parameter undefined in one argument: clear its block.
-    for i, a in enumerate(args):
-        for offset in offsets:
-            block = full << offset
-            if a.bits & block:
-                yield ctx, args[:i] + (_bare_soft_set(ctx, a.bits & ~block),) + args[i + 1 :]
-
-    # Drop an object from the universe (images losing their last member
-    # become undefined; an emptied universe is only legal without
-    # parameters): squeeze its bit out of every mask, and pack the masks
-    # again, one bit narrower.
-    if n_objects > 1 or n_params == 0:
-        arg_masks = [a.masks for a in args]
-        for k in range(n_objects):
-            smaller = Context._cut(ctx.objects[:k] + ctx.objects[k + 1 :], ctx.parameters)
-            candidate = []
-            for masks in arg_masks:
-                bits = 0
-                for m in masks:
-                    bits = bits << n_objects - 1 | _squeeze_bit(m, k)
-                candidate.append(_bare_soft_set(smaller, bits))
-            yield smaller, tuple(candidate)
-
-    # Remove one object from one image, keeping the image nonempty: clear
-    # one bit of a block with at least two set.
-    for i, a in enumerate(args):
-        for offset in offsets:
-            m = a.bits >> offset & full
-            if m & m - 1:
-                for k in range(n_objects):
-                    if m >> k & 1:
-                        reduced = _bare_soft_set(ctx, a.bits ^ 1 << offset + k)
-                        yield ctx, args[:i] + (reduced,) + args[i + 1 :]
+    """The tuple restricted to each single cell of its frame, one object
+    by one parameter: parameters from last to first, which is lowest
+    packed offset first, and within each the objects from last to first.
+    A cell's bit in each argument becomes the packed bit of a 1x1 frame."""
+    objects, parameters = ctx.objects, ctx.parameters
+    offset = 0
+    for parameter in reversed(parameters):
+        for k in reversed(range(len(objects))):
+            cell = Context((objects[k],), (parameter,))
+            yield cell, tuple(_bare_soft_set(cell, a.bits >> offset + k & 1) for a in args)
+        offset += len(objects)
 
 
 def shrink(
     law: Law, ctx: Context, args: tuple[SoftSet, ...]
 ) -> tuple[Context, tuple[SoftSet, ...]]:
-    """Greedily reduce a violating tuple to a locally minimal one.
+    """Reduce a violating tuple to a small one that still violates the law.
 
-    First-improvement search over the fixed reduction order; every
-    accepted step still violates the law, so the result does too.
-    Deterministic, and only locally minimal.  A candidate violates the
-    law when the law's check returns a detail for it.
+    First the tuple is restricted to each single cell of its frame in
+    turn (``_cells``), and the first 1x1 tuple that still violates the
+    law replaces it.  Then each argument, in order, is made empty where
+    the tuple still violates the law.  A candidate violates the law when
+    the law's check returns a detail for it, so the result always does.
+
+    A law written as text always ends on one cell.  Every operation is
+    bitwise, so a relation holds on a frame exactly when it holds at each
+    cell, and restricting the tuple to a cell keeps true relations true.
+    A formula of the grammar fails through one false relation (of a
+    false conjunction, of a conclusion whose hypothesis holds, or of the
+    false side of an equivalence whose other side holds), and at a cell
+    where that relation fails the formula still fails.  A Python check
+    that no single cell violates, and any tuple on a frame of at most one
+    cell, skip the scan: they only have arguments emptied, on their own
+    frame.
     """
     check = law.check
-    while True:
-        for smaller_ctx, smaller_args in _reductions(ctx, args):
-            if check(smaller_ctx, smaller_args) is not None:
-                ctx, args = smaller_ctx, smaller_args
-                break
-        else:
-            return ctx, args
+    if len(ctx.objects) * len(ctx.parameters) > 1:
+        ctx, args = next(
+            (cut for cut in _cells(ctx, args) if check(*cut) is not None), (ctx, args)
+        )
+    empty = _bare_soft_set(ctx, 0)
+    for i, a in enumerate(args):
+        if a.bits:
+            emptied = args[:i] + (empty,) + args[i + 1 :]
+            if check(ctx, emptied) is not None:
+                args = emptied
+    return ctx, args

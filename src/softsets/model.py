@@ -14,8 +14,8 @@ algebra is then a single integer operation on the packed bits, and
 counting the integers 0, 1, ... enumerates soft sets in the order of the
 per-parameter mask tuples (last parameter fastest).  Rendering reads
 each image straight from the packed bits, shifted down by its
-parameter's offset; shrinking works on the packed bits, and unpacks
-masks only to drop an object.  Shrink candidates and the tuples law
+parameter's offset; shrinking restricts a tuple to one cell by reading
+one bit of each argument.  Shrink candidates and the tuples law
 checking transposes from its chunks cannot leave [0, full_bits], so
 they skip the range check of ``SoftSet.__init__``, as the algebra's
 results do (:func:`_bare_soft_set`).
@@ -138,7 +138,7 @@ class Context(_Frozen):
     computed once, on construction, since every soft set built over the
     context reads ``full_bits``.  The lookup maps ``object_bit`` and
     ``parameter_offset`` are built on first read, as many contexts
-    (the frames shrinking cuts) never need them.
+    (the one-cell frames shrinking tries) never need them.
     """
 
     __slots__ = ("objects", "parameters", "full_mask", "full_bits", "_object_bit", "_parameter_offset")
@@ -160,19 +160,6 @@ class Context(_Frozen):
                 "a context with parameters needs a nonempty universe: "
                 "no parameter can have a nonempty image over an empty universe"
             )
-        self._set_fields(objects, parameters)
-
-    @classmethod
-    def _cut(cls, objects: tuple[str, ...], parameters: tuple[str, ...]) -> "Context":
-        """A context over subsequences of a valid context's names, built
-        without checking them again: distinct nonempty names stay so.
-        The caller keeps the universe nonempty while there are
-        parameters."""
-        ctx = object.__new__(cls)
-        ctx._set_fields(objects, parameters)
-        return ctx
-
-    def _set_fields(self, objects: tuple[str, ...], parameters: tuple[str, ...]) -> None:
         width = len(objects)
         _set_objects(self, objects)
         _set_parameters(self, parameters)
@@ -365,7 +352,7 @@ def _bare_soft_set(context: Context, bits: int) -> SoftSet:
     """The soft set of ``bits`` over ``context``, built as the algebra
     builds its results: without ``__init__`` and its range check, for
     bits in [0, context.full_bits] by construction.  Law checking builds
-    its shrink candidates and transposed tuples with it."""
+    its one-cell shrink candidates and transposed tuples with it."""
     s = object.__new__(SoftSet)
     _set_context(s, context)
     _set_bits(s, bits)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -41,10 +42,8 @@ from softsets.laws import (
     _random_chunk,
     _random_chunks,
     _random_soft_set,
-    _reductions,
     _report_violation,
     _split,
-    _squeeze_bit,
     _transpose,
     _transposed,
     _trial,
@@ -118,6 +117,25 @@ class TestFormulaLaws:
         with pytest.raises(ContextMismatch):
             law.check(ctx22, (SoftSet(ctx33, 0),) + (SoftSet(ctx22, 0),) * (law.arity - 1))
         assert law.check(ctx33, (SoftSet(ctx33, 0),) * law.arity) is None
+
+    def test_the_grammar_builds_five_formula_operators(self):
+        # Shrinking ends a text law's counterexample on one cell because a
+        # formula fails through one false relation; a connective such as
+        # "or" or negation would break that, so a grammar change fails here.
+        lexemes = list(expr._KINDS) + ["and", "or", "not", "xor", "F"]
+        templates = [
+            "F {} G", "F = G {} F = G", "F = G and F = G {} F <= G",
+            "F = G {0} F = G {0} F = G", "{0} F = G",
+        ]
+        ops = set()
+        for lexeme, template in itertools.product(lexemes, templates):
+            try:
+                formula = expr.parse_formula(template.format(lexeme))
+            except (expr.LexError, expr.ParseError):
+                continue
+            expr.fold(formula, lambda node, *_: ops.add(getattr(node, "op", None)))
+        ops.discard(None)
+        assert ops == {"=", "<=", "and", "=>", "<=>"}
 
     def test_violation_details(self, ctx22):
         f, g = make(ctx22, e1="x1"), make(ctx22, e1="x2")
@@ -1098,12 +1116,63 @@ class TestShrink:
         assert len(sctx.parameters) == 1
         assert broken.check(sctx, sargs) is not None
 
-    def test_result_is_locally_minimal(self, ctx33):
-        for broken in BROKEN_LAWS[:3]:
-            args = self._violating_args(broken, ctx33)
-            sctx, sargs = shrink(broken, ctx33, args)
-            for rctx, rargs in _reductions(sctx, sargs):
-                assert broken.check(rctx, rargs) is None
+    @pytest.mark.parametrize("law", BROKEN_LAWS, ids=lambda law: law.id)
+    def test_result_is_locally_minimal(self, law):
+        # every failing tuple ends on one cell, and no reduction of the
+        # greedy search shrinking used to make fails there
+        rng = random.Random(law.id)
+        for shape in SHRINK_FRAMES:
+            ctx = frame(*shape)
+            for _ in range(100):
+                args = tuple(_random_soft_set(ctx, rng, 0.6, 0.5) for _ in range(law.arity))
+                if law.check(ctx, args) is None:
+                    continue
+                sctx, sargs = shrink(law, ctx, args)
+                assert (len(sctx.objects), len(sctx.parameters)) == (1, 1), (shape, args)
+                assert law.check(sctx, sargs) is not None
+                for rctx, rargs in _reductions_by_masks(sctx, sargs):
+                    assert law.check(rctx, rargs) is None, (shape, args)
+
+    def test_every_failing_tuple_of_a_text_law_ends_on_one_cell(self):
+        rng = random.Random(27)
+        failing = 0
+        for _ in range(300):
+            text, names = _random_law_text(rng)
+            law = formula_law("random", " ".join(names), text)
+            for shape in ((2, 2), (3, 2), (1, 3)):
+                ctx = frame(*shape)
+                for _ in range(5):
+                    args = tuple(_random_soft_set(ctx, rng, 0.6, 0.5) for _ in names)
+                    if law.check(ctx, args) is None:
+                        continue
+                    failing += 1
+                    sctx, sargs = shrink(law, ctx, args)
+                    assert (len(sctx.objects), len(sctx.parameters)) == (1, 1), (text, args)
+                    assert law.check(sctx, sargs) is not None, (text, args)
+        assert failing > 500  # the texts are not all true
+
+    def test_a_check_no_single_cell_fails_keeps_its_frame(self, ctx33):
+        from softsets.workspace import load_workspace
+
+        def at_most_one_parameter(ctx, args):
+            (f,) = args
+            if len(f.domain()) < 2:
+                return None
+            return f"F defines {len(f.domain())} parameters"
+
+        law = Law(
+            "one-parameter", 1, "F defines at most one parameter", at_most_one_parameter, ("F",)
+        )
+        f = make(ctx33, e1="x1", e3="x2 x3")
+        assert shrink(law, ctx33, (f,)) == (ctx33, (f,))
+        ctx22 = frame(2, 2)
+        reports = ((ctx22, check_exhaustive(law, ctx22)), (ctx33, check_random(law, ctx33, 50, 0)))
+        for ctx, report in reports:
+            cex = report.counterexample
+            assert cex.context is ctx
+            assert law.check(cex.context, cex.args) == cex.detail
+            ws = load_workspace(cex.rendered)
+            assert law.check(ws.context, tuple(ws.bindings.values())) == cex.detail
 
     def test_shrink_is_deterministic(self, ctx33):
         broken = BROKEN_LAWS[3]
@@ -1120,9 +1189,49 @@ class TestShrink:
         assert shrink(broken, ctx, args) == (ctx, args)
 
 
+SHRINK_FRAMES = [(2, 2), (3, 3), (6, 6), (1, 4), (5, 1)]
+
+
+def _random_law_text(rng: random.Random) -> tuple[str, list[str]]:
+    """A seeded random law text over F, G and H, with one or two
+    relations per side and an implication or equivalence in 60% of them,
+    and its argument names in order of first appearance."""
+
+    def expression(depth):
+        roll = rng.random()
+        if depth > 2 or roll < 0.35:
+            return rng.choice(["F", "G", "H", "F", "G", "EMPTY", "UNIVERSAL"])
+        if roll < 0.5:
+            return f"({expression(depth + 1)})^c"
+        op = rng.choice(["&", "|", "-"])
+        return f"({expression(depth + 1)} {op} {expression(depth + 1)})"
+
+    def conjunction():
+        return " and ".join(
+            f"{expression(0)} {rng.choice(['=', '<='])} {expression(0)}"
+            for _ in range(rng.randint(1, 2))
+        )
+
+    while True:
+        text = conjunction()
+        if rng.random() < 0.6:
+            text += f" {rng.choice(['=>', '<=>'])} {conjunction()}"
+        names = list(dict.fromkeys(re.findall(r"\b[FGH]\b", text)))
+        if names:
+            return text, names
+
+
+def _squeeze_bit(mask: int, k: int) -> int:
+    """``mask`` with bit k taken out and the bits above it moved down."""
+    low = mask & ((1 << k) - 1)
+    return (mask >> (k + 1)) << k | low
+
+
 def _reductions_by_masks(ctx, args):
-    """Reference for ``_reductions``: every candidate built from the
-    arguments' mask tuples, in the same order."""
+    """The one-step reductions of the greedy search shrinking used to
+    make, built from the arguments' mask tuples: drop a parameter, make
+    one undefined in one argument, drop an object, or remove an object
+    from an image that keeps another."""
     n_params, n_objects = len(ctx.parameters), len(ctx.objects)
     arg_masks = [a.masks for a in args]
     for j in range(n_params):
@@ -1151,38 +1260,51 @@ def _reductions_by_masks(ctx, args):
                     yield ctx, args[:i] + (SoftSet.from_masks(ctx, reduced),) + args[i + 1 :]
 
 
+def _shrink_candidates_by_masks(ctx, args):
+    """Reference for the candidates ``shrink`` tries when none fails:
+    each single cell, parameters and then objects from last to first,
+    built from the masks (none on a frame of at most one cell), then
+    each nonempty argument made empty on the tuple's own frame."""
+    if len(ctx.objects) * len(ctx.parameters) > 1:
+        arg_masks = [a.masks for a in args]
+        for j in reversed(range(len(ctx.parameters))):
+            for k in reversed(range(len(ctx.objects))):
+                cell = new_context((ctx.objects[k],), (ctx.parameters[j],))
+                yield cell, tuple(
+                    SoftSet.from_masks(cell, [masks[j] >> k & 1]) for masks in arg_masks
+                )
+    empty = SoftSet.from_masks(ctx, [0] * len(ctx.parameters))
+    for i, a in enumerate(args):
+        if a.masks != empty.masks:
+            yield ctx, args[:i] + (empty,) + args[i + 1 :]
+
+
 # Every frame up to 4 x 4; a frame with parameters needs objects.
 REDUCTION_FRAMES = [(0, 0)] + list(itertools.product(range(1, 5), range(5)))
 
 
 @pytest.mark.parametrize("n_objects, n_params", REDUCTION_FRAMES)
 def test_reductions_on_bits_match_the_masks_based_ones(n_objects, n_params):
+    # a check that fails only on the tuple it was given sees every
+    # candidate shrink builds on the packed bits, in order
     ctx = frame(n_objects, n_params)
     rng = random.Random(1000 * n_objects + n_params)
     for _ in range(25):
         arity = rng.randint(0, 3)
         density = rng.choice([0.2, 0.5, 0.9, 1.0])
         args = tuple(_random_soft_set(ctx, rng, density, density) for _ in range(arity))
-        candidates = list(_reductions(ctx, args))
-        assert candidates == list(_reductions_by_masks(ctx, args))
-        for rctx, rargs in candidates:
+        tried = []
+
+        def only_the_original(c, a):
+            tried.append((c, a))
+            return "the original" if c is ctx and a == args else None
+
+        names = ("F", "G", "H")[:arity]
+        law = Law("spy", arity, "fails on its own tuple", only_the_original, names)
+        assert shrink(law, ctx, args) == (ctx, args)
+        assert tried == list(_shrink_candidates_by_masks(ctx, args))
+        for rctx, rargs in tried:
             assert all(type(a) is SoftSet and a.context is rctx for a in rargs)
-
-
-@pytest.mark.parametrize("n_objects, n_params", [(3, 3), (1, 2), (2, 0)])
-def test_cut_frames_match_checked_ones(n_objects, n_params):
-    # every frame that shrinking cuts from this one, built without the
-    # identifier checks, is the frame new_context builds from its names
-    ctx = frame(n_objects, n_params)
-    cut = [c for c, _ in _reductions(ctx, ()) if c is not ctx]
-    assert len(cut) == n_params + (n_objects if n_objects > 1 or n_params == 0 else 0)
-    for c in cut:
-        checked = new_context(c.objects, c.parameters)
-        assert c == checked and hash(c) == hash(checked)
-        assert (c.full_mask, c.full_bits) == (checked.full_mask, checked.full_bits)
-        assert c.object_bit == checked.object_bit
-        assert c.parameter_offset == checked.parameter_offset
-        assert repr(c) == repr(checked)
 
 
 def test_a_shrink_over_a_cut_frame_reloads():
@@ -1201,6 +1323,8 @@ def test_a_shrink_over_a_cut_frame_reloads():
 
 # The rendered counterexample of every mutant, pinned from the dataclass
 # version of SoftSet: faster values must not change a report by a byte.
+# Eight random entries were pinned again when shrinking became a one-cell
+# projection; every counterexample is 1x1, with the same case numbers.
 PINNED_COUNTEREXAMPLES = json.loads(
     (Path(__file__).parent / "mutant_counterexamples.json").read_text(encoding="utf-8")
 )
