@@ -289,22 +289,29 @@ _KINDS = {
 }
 
 # Blanks, then at most one lexeme: a symbol of ``_KINDS``, longest first,
-# or a word.  It always matches; its group is None where no lexeme starts.
+# or a word.  It always matches; its lexeme is empty where none starts.
 _SYMBOLS = sorted((s for s in _KINDS if not _NAME_RE.fullmatch(s)), key=len, reverse=True)
-_LEXEME_RE = re.compile(rf"[ \t\r]*({'|'.join(map(re.escape, _SYMBOLS))}|{_NAME})?")
+_LEXEME_RE = re.compile(rf"([ \t\r]*)({'|'.join(map(re.escape, _SYMBOLS))}|{_NAME})?")
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``: one ``findall`` per line, each column the
+    running sum of the (blanks, lexeme) lengths before it.  The first
+    pair with no lexeme ends the line; a character left after it is a
+    LexError."""
     tokens: list[Token] = []
     for line, source in enumerate(text.split("\n"), start=1):
-        m = _LEXEME_RE.match(source)
-        while word := m[1]:
-            tokens.append(Token(_KINDS.get(word, NAME), word, line, m.start(1) + 1))
-            m = _LEXEME_RE.match(source, m.end())
-        if m.end() < len(source):
-            ch = source[m.end()]
+        column = 1
+        for blanks, word in _LEXEME_RE.findall(source):
+            column += len(blanks)
+            if not word:
+                break
+            tokens.append(Token(_KINDS.get(word, NAME), word, line, column))
+            column += len(word)
+        if column <= len(source):
+            ch = source[column - 1]
             message = "expected 'c' after '^'" if ch == "^" else f"illegal character {ch!r}"
-            raise LexError(message, line, m.end() + 1)
+            raise LexError(message, line, column)
     return tokens
 
 

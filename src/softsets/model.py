@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Mapping, Sequence
+from functools import reduce
+from itertools import compress
 
 from .errors import (
     BadIdentifier,
@@ -63,15 +65,14 @@ def _check_identifiers(kind: str, names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _members(names: tuple[str, ...], mask: int) -> list[str]:
-    """The names whose bits are set in ``mask``, in order, visiting only
-    the set bits."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(names[low.bit_length() - 1])
-        mask ^= low
-    return members
+    """The names whose bits are set in ``mask``, in order: ``names``
+    compressed by the binary digits of ``mask``, lowest first, as bytes
+    0 and 1 (``_BITS``)."""
+    return list(compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 class _Frozen:
@@ -188,14 +189,21 @@ class Context(_Frozen):
             return offset
 
     def object_mask(self, names: Iterable[str]) -> int:
-        bit = self.object_bit
-        mask = 0
-        for name in names:
-            try:
-                mask |= bit[name]
-            except KeyError:
-                raise UnknownObject(f"unknown object {name!r}") from None
-        return mask
+        """The bits of ``names``, gathered by one ``itemgetter`` and
+        summed, or ORed where a name repeats (the sum then carries and
+        has fewer set bits).  The first unknown name raises UnknownObject."""
+        names = tuple(names)
+        try:
+            if len(names) > 1:
+                bits = operator.itemgetter(*names)(self.object_bit)
+            elif names:
+                bits = (self.object_bit[names[0]],)
+            else:
+                return 0
+        except KeyError as exc:
+            raise UnknownObject(f"unknown object {exc.args[0]!r}") from None
+        mask = sum(bits)
+        return mask if mask.bit_count() == len(bits) else reduce(operator.or_, bits)
 
     def objects_of_mask(self, mask: int) -> frozenset[str]:
         return frozenset(_members(self.objects, mask))

@@ -4,6 +4,7 @@ import copy
 import functools
 import itertools
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -78,14 +79,12 @@ def _fails_fast_on_recursion(test):
 
 # Texts drawn from lexemes, near-lexemes (a lone `^` or `<`), blanks and
 # illegal characters, so both outcomes of the lexer come up often.
-_texts = st.lists(
-    st.sampled_from(
-        ["F", "G1", "_x", "and", "EMPTY", "UNIVERSAL", "EMPTYX", "c"]
-        + ["&", "|", "-", "\\", "(", ")", "^c", "=", "<=", "=>", "<=>", "^", "<"]
-        + [" ", "\t", "\r", "\n", "?", "é", "9"]
-    ),
-    max_size=12,
-).map("".join)
+_PIECES = (
+    ["F", "G1", "_x", "and", "EMPTY", "UNIVERSAL", "EMPTYX", "c"]
+    + ["&", "|", "-", "\\", "(", ")", "^c", "=", "<=", "=>", "<=>", "^", "<"]
+    + [" ", "\t", "\r", "\n", "?", "é", "9"]
+)
+_texts = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
 
 
 # Every lexeme other than a name, with its kind, as the README lists them.
@@ -93,6 +92,38 @@ LEXEMES = {
     "&": AMP, "|": PIPE, "-": MINUS, "\\": MINUS, "(": LPAREN, ")": RPAREN, "^c": CARET_C,
     "<=>": IFF, "<=": LE, "=>": IMPLIES, "=": EQ, "EMPTY": EMPTY_KW, "UNIVERSAL": UNIV_KW,
 }
+
+_SYMBOL_RE = "|".join(
+    re.escape(lexeme)
+    for lexeme in sorted(LEXEMES, key=len, reverse=True)
+    if not lexeme[0].isalpha()
+)
+_MATCH_RE = re.compile(rf"[ \t\r]*({_SYMBOL_RE}|[A-Za-z_][A-Za-z0-9_]*)?")
+
+
+def _match_loop_tokenize(text):
+    """Reference for ``tokenize``: one ``match`` per lexeme, each token's
+    column read off its match."""
+    tokens = []
+    for line, source in enumerate(text.split("\n"), start=1):
+        m = _MATCH_RE.match(source)
+        while word := m[1]:
+            tokens.append(Token(LEXEMES.get(word, NAME), word, line, m.start(1) + 1))
+            m = _MATCH_RE.match(source, m.end())
+        if m.end() < len(source):
+            ch = source[m.end()]
+            message = "expected 'c' after '^'" if ch == "^" else f"illegal character {ch!r}"
+            raise LexError(message, line, m.end() + 1)
+    return tokens
+
+
+def _lexed(lexer, text):
+    """The tokens ``lexer`` makes of ``text``, or its error's message,
+    line and column."""
+    try:
+        return lexer(text)
+    except LexError as exc:
+        return exc.message, exc.line, exc.column
 
 
 class TestTokenize:
@@ -180,6 +211,15 @@ class TestTokenize:
             assert lines[t.line - 1][start : start + len(t.text)] == t.text
         assert "".join(t.text for t in tokens) == _unblanked(text)
         assert [(t.line, t.column) for t in tokens] == sorted((t.line, t.column) for t in tokens)
+
+    def test_tokenize_matches_a_match_per_lexeme_loop(self):
+        # The blanks \x0b and \x0c that str.split() knows are illegal
+        # characters to the lexer.
+        pieces = _PIECES + ["\x0b", "\x0c"]
+        rng = random.Random(28)
+        for _ in range(40_000):
+            text = "".join(rng.choices(pieces, k=rng.randrange(13)))
+            assert _lexed(tokenize, text) == _lexed(_match_loop_tokenize, text), repr(text)
 
     @settings(max_examples=400, deadline=None)
     @given(text=_texts)

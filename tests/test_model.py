@@ -4,6 +4,7 @@ import copy
 import itertools
 import operator
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -22,12 +23,14 @@ from softsets.errors import (
 from softsets.laws import enumerate_soft_sets
 from softsets.model import (
     SoftSet,
+    _members,
     empty_soft_set,
     new_context,
     soft_set,
     strict_soft_set,
     universal_soft_set,
 )
+from softsets.workspace import render_soft_set
 
 from .conftest import frame, make, random_sets
 
@@ -394,3 +397,97 @@ def test_accessors_match_the_reference_formulas(s):
         assert s.image(name) == (_ref_objects(ctx, m) if m else None)
     for m in _ref_masks(s):
         assert ctx.objects_of_mask(m) == _ref_objects(ctx, m)
+
+
+# Universes at the boundaries of CPython's 30-bit int digits and of a
+# 64-bit C long, where a mask changes its number of digits.
+WIDTHS = [1, 29, 30, 31, 62, 63, 64, 65, 100]
+
+
+def _or_loop_mask(ctx, names):
+    """Reference for ``object_mask``: each name's bit ORed in, in order."""
+    index = {name: k for k, name in enumerate(ctx.objects)}
+    mask = 0
+    for name in names:
+        try:
+            mask |= 1 << index[name]
+        except KeyError:
+            raise UnknownObject(f"unknown object {name!r}") from None
+    return mask
+
+
+def _bit_walk(names, mask):
+    """Reference for ``_members``: the names whose bits are set, in order."""
+    return [name for k, name in enumerate(names) if mask >> k & 1]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_object_mask_matches_an_or_loop(width):
+    ctx = frame(width, 0)
+    rng = random.Random(width)
+    draws = [[], ctx.objects[:1], ctx.objects[-1:], list(ctx.objects), ctx.objects * 2]
+    for _ in range(200):
+        size = rng.randrange(2 * width + 2)
+        draws.append(rng.choices(ctx.objects, k=size))  # repeats likely
+        draws.append(rng.sample(ctx.objects, min(size, width)))  # no repeats
+    for names in draws:
+        expected = _or_loop_mask(ctx, names)
+        assert ctx.object_mask(names) == expected
+        assert ctx.object_mask(tuple(names)) == expected
+        assert ctx.object_mask(name for name in names) == expected
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_object_mask_names_the_first_unknown_object_as_an_or_loop_does(width):
+    ctx = frame(width, 0)
+    rng = random.Random(width)
+    for _ in range(100):
+        names = rng.choices(ctx.objects, k=rng.randrange(width + 1))
+        for unknown in rng.sample(["z", "y", "", "x0"], rng.randrange(1, 3)):
+            names.insert(rng.randrange(len(names) + 1), unknown)
+        with pytest.raises(UnknownObject) as exc_info:
+            _or_loop_mask(ctx, names)
+        expected = str(exc_info.value)
+        for given_names in (names, tuple(names), iter(names)):
+            with pytest.raises(UnknownObject) as exc_info:
+                ctx.object_mask(given_names)
+            assert str(exc_info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "names, error",
+    [
+        ([["x1"]], TypeError),
+        (["x1", ["x1"]], TypeError),
+        ([["x1"], "z"], TypeError),
+        (["z", ["x1"]], UnknownObject),
+    ],
+    ids=["alone", "after-a-known-name", "before-an-unknown-name", "after-an-unknown-name"],
+)
+def test_an_unhashable_name_raises_type_error_where_an_or_loop_does(names, error):
+    ctx = frame(3, 0)
+    with pytest.raises(error):
+        _or_loop_mask(ctx, names)
+    with pytest.raises(error):
+        ctx.object_mask(names)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_members_and_rendering_match_a_bit_walk(width):
+    ctx = frame(width, 3)
+    full = ctx.full_mask
+    rng = random.Random(width)
+    masks = [0, full, 1, 1 << width - 1, full ^ 1, full >> 1]
+    masks += [rng.getrandbits(width) for _ in range(100)]
+    for m in masks:
+        walk = _bit_walk(ctx.objects, m)
+        assert _members(ctx.objects, m) == walk
+        assert ctx.objects_of_mask(m) == frozenset(walk)
+    for triple in zip(masks, masks[1:] + masks[:1], masks[2:] + masks[:2]):
+        s = SoftSet.from_masks(ctx, triple)
+        expected = "".join(
+            f"{name}: {' '.join(_bit_walk(ctx.objects, m))}\n"
+            for name, m in zip(ctx.parameters, triple)
+            if m
+        )
+        assert render_soft_set(s) == expected
