@@ -263,7 +263,9 @@ def _rebuild(key: tuple) -> _Node:
 
 
 # The slots' own setters, bound once: _Frozen.__setattr__ refuses every
-# write.
+# write.  The lexer and the parser build tokens and names bare, without
+# ``__init__``, through ``_new`` and these setters.
+_new = object.__new__
 _set_kind = Token.kind.__set__
 _set_text = Token.text.__set__
 _set_line = Token.line.__set__
@@ -306,7 +308,12 @@ def tokenize(text: str) -> list[Token]:
             column += len(blanks)
             if not word:
                 break
-            tokens.append(Token(_KINDS.get(word, NAME), word, line, column))
+            token = _new(Token)
+            _set_kind(token, _KINDS.get(word, NAME))
+            _set_text(token, word)
+            _set_line(token, line)
+            _set_column(token, column)
+            tokens.append(token)
             column += len(word)
         if column <= len(source):
             ch = source[column - 1]
@@ -323,8 +330,9 @@ def is_name(text: str) -> bool:
 # ---------------------------------------------------------------------------
 # Parser
 
-# The node class each operator or keyword token builds.
-_NODES = {AMP: Intersect, MINUS: Difference, PIPE: Union, EMPTY_KW: Empty, UNIV_KW: Universal}
+# The node class each binary operator token builds, and each keyword.
+_BINARY = {AMP: Intersect, MINUS: Difference, PIPE: Union}
+_KEYWORDS = {EMPTY_KW: Empty, UNIV_KW: Universal}
 
 
 class _Parser:
@@ -334,6 +342,7 @@ class _Parser:
         # peek() always has a token to return.
         last = self.tokens[-1] if self.tokens else Token(END, "", 1, 1)
         self.tokens.append(Token(END, "", last.line, last.column + len(last.text)))
+        self.kinds = [token.kind for token in self.tokens]
         self.pos = 0
 
     def peek(self) -> Token:
@@ -345,51 +354,52 @@ class _Parser:
         return tok
 
     def expression(self) -> Expr:
-        """One expression, read in one loop over one stack of open
-        parenthesis tokens and pending (operator class, left operand)
-        pairs.  After each operand and its ``^c`` run, every pending
-        operator that binds at least as tightly as the next binary
-        operator is built; at any other token, every one back to the
-        innermost open parenthesis, which that token must close.  So
+        """One expression, read in one loop over the token kinds and one
+        stack of open parenthesis tokens and pending (operator class,
+        left operand) pairs.  After each operand and its ``^c`` run, every
+        pending operator that binds at least as tightly as the next
+        binary operator is built; at any other token, every one back to
+        the innermost open parenthesis, which that token must close.  So
         chains associate to the left."""
+        tokens, kinds, pos = self.tokens, self.kinds, self.pos
         stack: list = []
         node = None  # the operand just read, with the operators built on it
         while True:
             if node is None:
-                while self.peek().kind == LPAREN:
-                    stack.append(self.advance())
-                node = self.atom()
-            while self.peek().kind == CARET_C:
-                self.advance()
+                while kinds[pos] == LPAREN:
+                    stack.append(tokens[pos])
+                    pos += 1
+                kind = kinds[pos]
+                if kind == NAME:
+                    node = _new(Name)
+                    _set_identifier(node, tokens[pos].text)
+                elif kind in _KEYWORDS:
+                    node = _KEYWORDS[kind]()
+                else:
+                    tok = tokens[pos]
+                    message = "unexpected end of input" if kind == END else f"unexpected token {tok.text!r}"
+                    raise ParseError(message, tok.line, tok.column)
+                pos += 1
+            while kinds[pos] == CARET_C:
+                pos += 1
                 node = Complement(node)
-            cls = _NODES.get(self.peek().kind)
-            level = cls.level if cls and issubclass(cls, _Binary) else 0
+            cls = _BINARY.get(kinds[pos])
+            level = cls.level if cls else 0
             while stack and isinstance(stack[-1], tuple) and stack[-1][0].level >= level:
                 op, left = stack.pop()
                 node = op(left, node)
             if level:
-                self.advance()
+                pos += 1
                 stack.append((cls, node))
                 node = None
             elif not stack:
+                self.pos = pos
                 return node
             else:
                 opening = stack.pop()
-                if self.peek().kind != RPAREN:
+                if kinds[pos] != RPAREN:
                     raise ParseError("unbalanced parenthesis", opening.line, opening.column)
-                self.advance()
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == NAME:
-            self.advance()
-            return Name(tok.text)
-        if tok.kind in (EMPTY_KW, UNIV_KW):
-            self.advance()
-            return _NODES[tok.kind]()
-        if tok.kind == END:
-            raise ParseError("unexpected end of input", tok.line, tok.column)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+                pos += 1
 
     def formula(self) -> Formula:
         node = self.conjunction()

@@ -191,8 +191,10 @@ class Context(_Frozen):
     def object_mask(self, names: Iterable[str]) -> int:
         """The bits of ``names``, gathered by one ``itemgetter`` and
         summed, or ORed where a name repeats (the sum then carries and
-        has fewer set bits).  The first unknown name raises UnknownObject."""
-        names = tuple(names)
+        has fewer set bits).  The first unknown name raises UnknownObject.
+        A list or tuple is read as it is; any other iterable is copied."""
+        if not isinstance(names, (list, tuple)):
+            names = tuple(names)
         try:
             if len(names) > 1:
                 bits = operator.itemgetter(*names)(self.object_bit)

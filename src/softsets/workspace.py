@@ -78,15 +78,24 @@ def load_workspace(text: str) -> Workspace:
     """Parse the format above.  Empty image lines are dropped with a
     warning; structural problems raise FormatError with the line number.
 
-    One pass: each object token is looked up once, and each image line's
-    mask is ORed into its block's packed integer at its parameter's
-    offset."""
+    One pass, one lookup per line to find image lines: the ``parameters:``
+    header builds a map from each ``parameter:`` token to the parameter's
+    offset, which the first ``softset`` line turns on.  A line whose first
+    token is in it is an image line, and its mask is ORed into its
+    block's packed integer at that offset; every other line is a header,
+    a ``softset`` line or an error."""
     objects: list[str] | None = None
     ctx: Context | None = None
     bindings: dict[str, SoftSet] = {}
     block_name: str | None = None
     block_bits = 0
     block_seen: set[str] = set()
+    # Each image line's first token, "parameter:", mapped to the
+    # parameter's offset.  The parameters: header builds image_keys, and
+    # the first softset line makes it the map each line is looked up in;
+    # before that, no line is an image line.
+    image_keys: dict[str, int] = {}
+    keys: dict[str, int] = {}
 
     def finish_block() -> None:
         nonlocal block_name
@@ -96,16 +105,35 @@ def load_workspace(text: str) -> Workspace:
 
     lines = text.removeprefix("\ufeff").split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = stripped.split()
-        if tokens[0] == "universe:":
+        head = tokens[0]
+        shift = keys.get(head)
+        if shift is not None:
+            if head in block_seen:
+                raise FormatError(
+                    f"parameter {head[:-1]!r} listed twice in one soft set", lineno
+                )
+            block_seen.add(head)
+            try:
+                mask = object_mask(tokens[1:])
+            except UnknownObject as exc:
+                raise FormatError(str(exc), lineno) from None
+            if mask:
+                block_bits |= mask << shift
+            else:
+                warnings.warn(
+                    f"line {lineno}: dropping empty image for parameter {head[:-1]!r}",
+                    stacklevel=2,
+                )
+            continue
+        if head == "universe:":
             if objects is not None:
                 raise FormatError("duplicate universe: header", lineno)
             objects = tokens[1:]
             continue
-        if tokens[0] == "parameters:":
+        if head == "parameters:":
             if objects is None:
                 raise FormatError("missing universe: header", lineno)
             if ctx is not None:
@@ -117,12 +145,13 @@ def load_workspace(text: str) -> Workspace:
                 ctx = new_context(objects, tokens[1:])
             except SoftSetError as exc:
                 raise FormatError(str(exc), lineno) from None
-            offsets = ctx.parameter_offset
+            image_keys = {p + ":": offset for p, offset in ctx.parameter_offset.items()}
+            object_mask = ctx.object_mask
             continue
         if ctx is None:
             missing = "universe:" if objects is None else "parameters:"
             raise FormatError(f"missing {missing} header", lineno)
-        if tokens[0] == "softset":
+        if head == "softset":
             if len(tokens) != 2 or not tokens[1].endswith(":"):
                 raise FormatError("malformed softset line", lineno)
             name = tokens[1][:-1]
@@ -134,31 +163,13 @@ def load_workspace(text: str) -> Workspace:
             block_name = name
             block_bits = 0
             block_seen = set()
+            keys = image_keys
             continue
-        if not tokens[0].endswith(":"):
-            raise FormatError(f"malformed line {stripped!r}", lineno)
+        if not head.endswith(":"):
+            raise FormatError(f"malformed line {raw.split('#', 1)[0].strip()!r}", lineno)
         if block_name is None:
             raise FormatError("image line outside a softset block", lineno)
-        parameter = tokens[0][:-1]
-        shift = offsets.get(parameter)
-        if shift is None:
-            raise FormatError(f"unknown parameter {parameter!r}", lineno)
-        if parameter in block_seen:
-            raise FormatError(
-                f"parameter {parameter!r} listed twice in one soft set", lineno
-            )
-        block_seen.add(parameter)
-        try:
-            mask = ctx.object_mask(tokens[1:])
-        except UnknownObject as exc:
-            raise FormatError(str(exc), lineno) from None
-        if not mask:
-            warnings.warn(
-                f"line {lineno}: dropping empty image for parameter {parameter!r}",
-                stacklevel=2,
-            )
-            continue
-        block_bits |= mask << shift
+        raise FormatError(f"unknown parameter {head[:-1]!r}", lineno)
     finish_block()
     if ctx is None:
         missing = "universe:" if objects is None else "parameters:"

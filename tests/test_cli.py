@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from softsets import algebra, cli, houses
+from softsets import algebra, cli, expr, houses
 from softsets.cli import main
 from softsets.houses import bundled_workspace_text, houses_workspace
 from softsets.laws import law_catalog
@@ -187,6 +187,37 @@ def test_the_parser_is_reused_without_changing_any_outcome(houses_path, capsys):
     parser = cli._build_parser()
     assert [_outcome(capsys, argv) for argv in calls] == first
     assert cli._build_parser() is parser
+
+
+def test_eval_calls_each_layer_once_through_its_module_attribute(houses_path, capsys, monkeypatch):
+    # perfbench's tracer times these layers by replacing the same module
+    # attributes, so each must be reached through them, once per eval.
+    calls = {}
+    for module, name in [
+        (expr, "tokenize"), (expr, "parse"), (expr, "evaluate"),
+        (cli, "load_workspace"), (cli, "render_soft_set"),
+    ]:
+        key = f"{module.__name__}.{name}"
+
+        def counted(*args, _function=getattr(module, name), _key=key, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(["eval", houses_path, "(F & G)^c | F - G"]) == 0
+    assert calls == dict.fromkeys(
+        [
+            "softsets.expr.tokenize", "softsets.expr.parse", "softsets.expr.evaluate",
+            "softsets.cli.load_workspace", "softsets.cli.render_soft_set",
+        ],
+        1,
+    )
+    ws = houses_workspace()
+    result = algebra.union(
+        algebra.complement(algebra.intersection(ws.bindings["F"], ws.bindings["G"])),
+        algebra.difference(ws.bindings["F"], ws.bindings["G"]),
+    )
+    assert capsys.readouterr() == (render_soft_set(result), "")
 
 
 class TestCheckLaws:

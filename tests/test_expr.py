@@ -19,6 +19,7 @@ from softsets.expr import (
     AMP,
     CARET_C,
     EMPTY_KW,
+    END,
     EQ,
     IFF,
     IMPLIES,
@@ -48,10 +49,11 @@ from softsets.expr import (
     tokenize,
 )
 from softsets.houses import houses_workspace
-from softsets.laws import random_soft_set
+from softsets.laws import law_catalog, random_soft_set
 from softsets.model import empty_soft_set, new_context, universal_soft_set
 
 from .conftest import child_env, make
+from .mutants import BROKEN_LAWS
 
 
 def kinds(text):
@@ -348,6 +350,195 @@ class TestParse:
     def test_deep_nesting_parses(self):
         assert parse_text("(" * 3000 + "F" + ")" * 3000) == Name("F")
         assert parse_text("(" * 3000 + "F" + ")^c" * 3000) == parse_text("F" + "^c" * 3000)
+
+
+class _PeekAdvanceParser:
+    """Reference for the parser: a copy of its earlier ``expression``
+    loop, which reads one token at a time through ``peek`` and
+    ``advance``, with ``atom``, the formula rules and ``finish``."""
+
+    NODES = {AMP: Intersect, MINUS: Difference, PIPE: Union, EMPTY_KW: Empty, UNIV_KW: Universal}
+
+    def __init__(self, tokens):
+        self.tokens = list(tokens)
+        last = self.tokens[-1] if self.tokens else Token(END, "", 1, 1)
+        self.tokens.append(Token(END, "", last.line, last.column + len(last.text)))
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expression(self):
+        stack = []
+        node = None
+        while True:
+            if node is None:
+                while self.peek().kind == LPAREN:
+                    stack.append(self.advance())
+                node = self.atom()
+            while self.peek().kind == CARET_C:
+                self.advance()
+                node = Complement(node)
+            cls = self.NODES.get(self.peek().kind)
+            level = cls.level if cls and cls in BINARY_NODES else 0
+            while stack and isinstance(stack[-1], tuple) and stack[-1][0].level >= level:
+                op, left = stack.pop()
+                node = op(left, node)
+            if level:
+                self.advance()
+                stack.append((cls, node))
+                node = None
+            elif not stack:
+                return node
+            else:
+                opening = stack.pop()
+                if self.peek().kind != RPAREN:
+                    raise ParseError("unbalanced parenthesis", opening.line, opening.column)
+                self.advance()
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == NAME:
+            self.advance()
+            return Name(tok.text)
+        if tok.kind in (EMPTY_KW, UNIV_KW):
+            self.advance()
+            return self.NODES[tok.kind]()
+        if tok.kind == END:
+            raise ParseError("unexpected end of input", tok.line, tok.column)
+        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+
+    def formula(self):
+        node = self.conjunction()
+        tok = self.peek()
+        if tok.kind in (IMPLIES, IFF):
+            self.advance()
+            node = Formula(tok.text, node, self.conjunction())
+        return node
+
+    def conjunction(self):
+        node = self.relation()
+        while (tok := self.peek()).kind == NAME and tok.text == "and":
+            self.advance()
+            node = Formula("and", node, self.relation())
+        return node
+
+    def relation(self):
+        left = self.expression()
+        tok = self.peek()
+        if tok.kind not in (EQ, LE):
+            raise ParseError("expected '=' or '<='", tok.line, tok.column)
+        self.advance()
+        return Formula(tok.text, left, self.expression())
+
+    def finish(self, node):
+        trailing = self.peek()
+        if trailing.kind != END:
+            raise ParseError(
+                f"trailing input starting at {trailing.text!r}", trailing.line, trailing.column
+            )
+        return node
+
+
+def _reference_parse(tokens):
+    parser = _PeekAdvanceParser(tokens)
+    return parser.finish(parser.expression())
+
+
+def _reference_parse_formula(text):
+    parser = _PeekAdvanceParser(tokenize(text))
+    return parser.finish(parser.formula())
+
+
+def _parsed(parser, argument):
+    """The ``_key()`` of the tree ``parser`` makes of ``argument``, or its
+    ParseError's message, line and column."""
+    try:
+        return parser(argument)._key()
+    except ParseError as exc:
+        return exc.message, exc.line, exc.column
+
+
+# Expression texts from a grammar, each rendered with blanks, newlines
+# and redundant parentheses, and one edit away from them: a token
+# dropped, doubled or replaced by another lexeme.
+_OPERANDS = ("F", "G1", "and", "EMPTY", "UNIVERSAL")
+_LEXEMES = _OPERANDS + ("&", "|", "-", "\\", "(", ")", "^c", "=", "<=", "=>", "<=>")
+
+
+def _expression_pieces(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        pieces = [rng.choice(_OPERANDS)]
+    elif roll < 0.45:
+        pieces = ["(", *_expression_pieces(rng, depth - 1), ")"]
+    elif roll < 0.6:
+        pieces = [*_expression_pieces(rng, depth - 1), "^c"]
+    else:
+        operator = rng.choice(["&", "|", "-", "\\"])
+        pieces = [*_expression_pieces(rng, depth - 1), operator, *_expression_pieces(rng, depth - 1)]
+    return pieces
+
+
+def _expression_texts(rng, count):
+    for _ in range(count):
+        pieces = _expression_pieces(rng, rng.randrange(6))
+        edit = rng.randrange(4)
+        at = rng.randrange(len(pieces))
+        if edit == 1:
+            del pieces[at]
+        elif edit == 2:
+            pieces.insert(at, pieces[at])
+        elif edit == 3:
+            pieces[at] = rng.choice(_LEXEMES)
+        yield "".join(piece + rng.choice(["", " ", "\n"]) for piece in pieces)
+
+
+MALFORMED_EXPRESSIONS = (
+    "(", ")", "(F", "F)", "((F)", "(F))", "()", "F (", "F & (", ") F",
+    "F &", "F |", "F -", "F \\", "F & | G", "& F", "F |\n",
+    "^c", "^c F", "(^c)", "F & ^c", "F ^c ^c (",
+    "F = G", "=", "F =", "= F", "(F = G)", "F <= G", "F => G",
+    "F G", "EMPTY UNIVERSAL", "F and", "",
+)
+
+
+class TestParseMatchesAPeekAdvanceLoop:
+    """The parser's loop over token kinds gives the tree, or the error
+    message and position, of a copy of its earlier peek/advance loop."""
+
+    def test_seeded_texts(self):
+        rng = random.Random(29)
+        texts = ["".join(rng.choices(_PIECES, k=rng.randrange(13))) for _ in range(40_000)]
+        texts += _expression_texts(rng, 20_000)
+        parsed = 0
+        for text in [*texts, *MALFORMED_EXPRESSIONS]:
+            try:
+                tokens = tokenize(text)
+            except LexError:
+                continue
+            expected = _parsed(_reference_parse, tokens)
+            assert _parsed(parse, tokens) == expected, repr(text)
+            assert _parsed(parse_formula, text) == _parsed(_reference_parse_formula, text), repr(text)
+            parsed += not isinstance(expected[0], str)
+        assert parsed > 10_000  # the grammar's texts parse, not only fail
+
+    @pytest.mark.parametrize("text", MALFORMED_EXPRESSIONS)
+    def test_malformed_expressions_fail_alike(self, text):
+        expected = _parsed(_reference_parse, tokenize(text))
+        assert isinstance(expected[0], str)
+        assert _parsed(parse_text, text) == expected
+
+    def test_law_texts(self):
+        texts = [law.statement for law in (*law_catalog(), *BROKEN_LAWS)]
+        assert len(law_catalog()) == 23
+        for text in texts:
+            assert _parsed(parse_formula, text) == _parsed(_reference_parse_formula, text), text
 
 
 class TestEvaluate:
