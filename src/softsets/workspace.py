@@ -90,12 +90,8 @@ def load_workspace(text: str) -> Workspace:
     block_name: str | None = None
     block_bits = 0
     block_seen: set[str] = set()
-    # Each image line's first token, "parameter:", mapped to the
-    # parameter's offset.  The parameters: header builds image_keys, and
-    # the first softset line makes it the map each line is looked up in;
-    # before that, no line is an image line.
-    image_keys: dict[str, int] = {}
-    keys: dict[str, int] = {}
+    image_keys: dict[str, int] = {}  # built at the parameters: header
+    keys: dict[str, int] = {}  # image_keys from the first softset line on
 
     def finish_block() -> None:
         nonlocal block_name
