@@ -187,8 +187,8 @@ class Name(Expr):
     identifier: str
 
     def __init__(self, identifier: str):
-        if not identifier:
-            raise ValueError("Name identifier must be nonempty")
+        if not is_name(identifier):
+            raise ValueError(f"Name identifier {identifier!r} is not a NAME lexeme")
         _set_identifier(self, identifier)
 
 
@@ -339,19 +339,11 @@ class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = list(tokens)
         # One END token just past the last lexeme closes the input, so
-        # peek() always has a token to return.
+        # self.tokens[self.pos] is always a token.
         last = self.tokens[-1] if self.tokens else Token(END, "", 1, 1)
         self.tokens.append(Token(END, "", last.line, last.column + len(last.text)))
         self.kinds = [token.kind for token in self.tokens]
         self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def expression(self) -> Expr:
         """One expression, read in one loop over the token kinds and one
@@ -403,29 +395,29 @@ class _Parser:
 
     def formula(self) -> Formula:
         node = self.conjunction()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind in (IMPLIES, IFF):
-            self.advance()
+            self.pos += 1
             node = Formula(tok.text, node, self.conjunction())
         return node
 
     def conjunction(self) -> Formula:
         node = self.relation()
-        while (tok := self.peek()).kind == NAME and tok.text == "and":
-            self.advance()
+        while (tok := self.tokens[self.pos]).kind == NAME and tok.text == "and":
+            self.pos += 1
             node = Formula("and", node, self.relation())
         return node
 
     def relation(self) -> Formula:
         left = self.expression()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind not in (EQ, LE):
             raise ParseError("expected '=' or '<='", tok.line, tok.column)
-        self.advance()
+        self.pos += 1
         return Formula(tok.text, left, self.expression())
 
     def finish(self) -> None:
-        trailing = self.peek()
+        trailing = self.tokens[self.pos]
         if trailing.kind != END:
             raise ParseError(
                 f"trailing input starting at {trailing.text!r}", trailing.line, trailing.column

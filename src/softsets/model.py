@@ -192,8 +192,11 @@ class Context(_Frozen):
         """The bits of ``names``, gathered by one ``itemgetter`` and
         summed, or ORed where a name repeats (the sum then carries and
         has fewer set bits).  The first unknown name raises UnknownObject.
-        A list or tuple is read as it is; any other iterable is copied."""
+        A list or tuple is read as it is, a bare string raises TypeError,
+        and any other iterable is copied."""
         if not isinstance(names, (list, tuple)):
+            if isinstance(names, str):
+                raise TypeError(f"an image is a sequence of names, not one string: {names!r}")
             names = tuple(names)
         try:
             if len(names) > 1:

@@ -81,23 +81,16 @@ def load_workspace(text: str) -> Workspace:
     One pass, one lookup per line to find image lines: the ``parameters:``
     header builds a map from each ``parameter:`` token to the parameter's
     offset, which the first ``softset`` line turns on.  A line whose first
-    token is in it is an image line, and its mask is ORed into its
+    token is in it is an image line, and its mask is ORed into the open
     block's packed integer at that offset; every other line is a header,
     a ``softset`` line or an error."""
     objects: list[str] | None = None
     ctx: Context | None = None
-    bindings: dict[str, SoftSet] = {}
-    block_name: str | None = None
-    block_bits = 0
+    packed: dict[str, int] = {}  # each soft set's bits, in file order
+    block: str | None = None  # the name of the open softset block
     block_seen: set[str] = set()
     image_keys: dict[str, int] = {}  # built at the parameters: header
     keys: dict[str, int] = {}  # image_keys from the first softset line on
-
-    def finish_block() -> None:
-        nonlocal block_name
-        if block_name is not None:
-            bindings[block_name] = SoftSet(ctx, block_bits)
-            block_name = None
 
     lines = text.removeprefix("\ufeff").split("\n")
     for lineno, raw in enumerate(lines, start=1):
@@ -117,7 +110,7 @@ def load_workspace(text: str) -> Workspace:
             except UnknownObject as exc:
                 raise FormatError(str(exc), lineno) from None
             if mask:
-                block_bits |= mask << shift
+                packed[block] |= mask << shift
             else:
                 warnings.warn(
                     f"line {lineno}: dropping empty image for parameter {head[:-1]!r}",
@@ -153,24 +146,22 @@ def load_workspace(text: str) -> Workspace:
             name = tokens[1][:-1]
             if not is_name(name):
                 raise FormatError(f"invalid soft set name {name!r}", lineno)
-            if name in bindings or name == block_name:
+            if name in packed:
                 raise FormatError(f"duplicate soft set name {name!r}", lineno)
-            finish_block()
-            block_name = name
-            block_bits = 0
+            packed[name] = 0
+            block = name
             block_seen = set()
             keys = image_keys
             continue
         if not head.endswith(":"):
             raise FormatError(f"malformed line {raw.split('#', 1)[0].strip()!r}", lineno)
-        if block_name is None:
+        if block is None:
             raise FormatError("image line outside a softset block", lineno)
         raise FormatError(f"unknown parameter {head[:-1]!r}", lineno)
-    finish_block()
     if ctx is None:
         missing = "universe:" if objects is None else "parameters:"
         raise FormatError(f"missing {missing} header", len(lines))
-    return Workspace(ctx, bindings)
+    return Workspace(ctx, {name: SoftSet(ctx, bits) for name, bits in packed.items()})
 
 
 def _is_unsafe(name: str) -> bool:

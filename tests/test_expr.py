@@ -784,6 +784,18 @@ class TestTreeIdentity:
         with pytest.raises(ValueError):
             Name("")
 
+    @pytest.mark.parametrize("identifier", ["EMPTY", "UNIVERSAL", "a b", "2F", "F^c"])
+    def test_a_name_is_one_name_lexeme(self, identifier):
+        # Otherwise render(Complement(Name("EMPTY"))) would read back as
+        # Complement(Empty()), and Name("a b") would not parse at all.
+        with pytest.raises(ValueError):
+            Name(identifier)
+
+    @pytest.mark.parametrize("identifier", ["and", "F1", "_x"])
+    def test_a_name_lexeme_builds_a_name(self, identifier):
+        node = Complement(Name(identifier))
+        assert parse_text(render(node)) == node
+
     def test_structure_decides_equality(self):
         f, g, h = Name("F"), Name("G"), Name("H")
         assert Intersect(f, g) != Union(f, g)

@@ -123,6 +123,24 @@ class TestContext:
         with pytest.raises(UnknownObject):
             ctx.object_mask(["z"])
 
+    # Each entry point that reads an image, given that image.
+    IMAGE_READERS = {
+        "object_mask": lambda ctx, image: ctx.object_mask(image),
+        "soft_set": lambda ctx, image: soft_set(ctx, [("p", image)]).bits,
+        "strict_soft_set": lambda ctx, image: strict_soft_set(ctx, [("p", image)]).bits,
+    }
+
+    @pytest.mark.parametrize("reader", IMAGE_READERS.values(), ids=IMAGE_READERS)
+    def test_an_image_is_names_not_one_string(self, reader):
+        # A string is an iterable of one-character names: "ab" must not
+        # be read as "a" and "b", nor "x1" fail on an unknown "x".
+        ctx = new_context(("a", "b", "ab"), ("p",))
+        for objects, image in ((ctx.objects, "ab"), (("x1", "x2"), "x1")):
+            with pytest.raises(TypeError, match="not one string"):
+                reader(new_context(objects, ("p",)), image)
+        assert reader(ctx, ["ab"]) == 0b100
+        assert reader(ctx, (name for name in ("a", "ab"))) == 0b101
+
 
 class TestConstruction:
     def test_images_and_domain(self, ctx22):

@@ -82,6 +82,12 @@ class TestLoad:
     def test_block_with_no_image_lines_is_the_empty_soft_set(self):
         ws = load_workspace(HEADER + "softset F:\n")
         assert ws.bindings["F"].is_empty()
+        # An empty block keeps its place in file order, before a block
+        # with image lines as at the end of the file.
+        ws = load_workspace(HEADER + "softset E:\nsoftset F:\n  e1: h1\nsoftset G:\n")
+        assert list(ws.bindings) == ["E", "F", "G"]
+        assert ws.bindings["E"].is_empty() and ws.bindings["G"].is_empty()
+        assert ws.bindings["F"].domain() == {"e1"}
 
     def test_object_repeated_within_a_line_loads_once(self):
         ws = load_workspace(HEADER + "softset F:\n  e3: h2 h4 h2 h2\n")
@@ -221,6 +227,7 @@ class TestLoadErrors:
             (BLOCK + "universe: h1\n", "duplicate universe: header", 6),
             (BLOCK + "  parameters: e1\n", "duplicate parameters: header", 6),
             (BLOCK + "softset F:\n", "duplicate soft set name 'F'", 6),
+            (BLOCK + "softset G:\n  e1: h2\nsoftset F:\n", "duplicate soft set name 'F'", 8),
             (BLOCK + "softset G\n", "malformed softset line", 6),
             (BLOCK + "softset 9G:\n", "invalid soft set name '9G'", 6),
             (BLOCK + "softset G:\n  e1: h1\n  e1: h2\n", "parameter 'e1' listed twice in one soft set", 8),
