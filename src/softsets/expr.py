@@ -27,18 +27,18 @@ between relations, so it stays an ordinary name in expressions.
 
 An expression parses in one loop over one explicit stack, so operator
 chains and `^c` runs may be of any length and parentheses may nest
-arbitrarily deep.  Evaluation, rendering, comparison, hashing,
-``repr``, pickling and copying walk the tree with explicit stacks too,
-mostly through ``fold``, so every tree the parser builds evaluates,
-renders, compares, pickles and copies; and as rendering emits only the
-parentheses the tree needs, its text nests no deeper than the source
-and parses again.
+arbitrarily deep.  A tree's one walk gives its program (``_key()``),
+which evaluation, rendering, comparison, hashing, pickling and copying
+read, and ``repr`` walks with an explicit stack too, so every tree the
+parser builds evaluates, renders, compares, pickles and copies; and as
+rendering emits only the parentheses the tree needs, its text nests no
+deeper than the source and parses again.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import algebra
 from .errors import ContextMismatch, LexError, ParseError, UnboundName
@@ -60,7 +60,6 @@ __all__ = [
     "parse",
     "parse_text",
     "parse_formula",
-    "fold",
     "evaluate",
     "render",
 ]
@@ -94,6 +93,8 @@ class Token(_Frozen):
     column: int
 
     def __init__(self, kind: str, text: str, line: int, column: int):
+        if kind == NAME and not is_name(text):
+            raise ValueError(f"NAME token text {text!r} is not a NAME lexeme")
         _set_kind(self, kind)
         _set_text(self, text)
         _set_line(self, line)
@@ -107,27 +108,33 @@ class _Node(_Frozen):
     constructor order.  Trees may be far deeper than the recursion limit
     (a 3,000-term chain parses into a tree 3,000 deep), so nodes override
     ``_Frozen``'s ``==``, ``hash``, ``repr`` and pickling (and so
-    copying) with ones that walk the tree with explicit stacks instead
-    of recursing: a tree pickles as its flat ``_key()``."""
+    copying) with ones that read the tree's program, ``_key()``, or walk
+    it with an explicit stack instead of recursing: a tree pickles as its
+    program."""
 
     __slots__ = ()
 
     def _key(self) -> tuple:
-        """The tree as one flat tuple, in post-order: each node's type,
-        followed by a name's identifier or a formula's operator.  Every
-        node type has a fixed number of children, so the tuple determines
-        the tree."""
-        key: list = []
-
-        def visit(node, *_):
-            key.append(type(node))
-            if isinstance(node, Name):
-                key.append(node.identifier)
-            elif isinstance(node, Formula):
-                key.append(node.op)
-
-        fold(self, visit)
-        return tuple(key)
+        """The tree's program: one (node class, scalar) step per node in
+        post-order, the scalar a name's identifier, a formula's operator or
+        None.  Each class has a fixed number of children, so the program
+        determines the tree.  The stack reads it backwards: node, right, left."""
+        steps: list = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            scalar = None
+            if isinstance(node, _Binary):
+                stack += (node.left, node.right)
+                if isinstance(node, Formula):
+                    scalar = node.op
+            elif isinstance(node, Complement):
+                stack.append(node.child)
+            elif isinstance(node, Name):
+                scalar = node.identifier
+            steps.append((type(node), scalar))
+        steps.reverse()
+        return tuple(steps)
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -246,19 +253,16 @@ class Formula(_Binary):
         _set_right(self, right)
 
 
-def _rebuild(key: tuple) -> _Node:
-    """The tree whose ``_key()`` is ``key``.  Each node takes its scalar
-    field (a name's identifier, a formula's operator) from the key and
-    its children, as many as its other fields, from the top of a stack
-    of built subtrees."""
+def _rebuild(program: tuple) -> _Node:
+    """The tree whose ``_key()`` is ``program``, or for a prefix of it
+    the subtree of its last step.  Each step's node takes its scalar, if
+    any, and its children, as many as its other fields, from the top of
+    a stack of built subtrees."""
     stack: list = []
-    items = iter(key)
-    for cls in items:
-        scalar = (next(items),) if cls in (Name, Formula) else ()
-        first = len(stack) - len(cls.__match_args__) + len(scalar)
-        children = stack[first:]
-        del stack[first:]
-        stack.append(cls(*scalar, *children))
+    for cls, scalar in program:
+        scalars = () if scalar is None else (scalar,)
+        first = len(stack) - len(cls.__match_args__) + len(scalars)
+        stack[first:] = [cls(*scalars, *stack[first:])]
     return stack.pop()
 
 
@@ -447,54 +451,40 @@ def parse_formula(text: str) -> Formula:
 # Evaluation and rendering
 
 
-def fold(ast: Expr | Formula, combine: Callable):
-    """Post-order walk over an explicit stack: ``combine(node, *values)``
-    gets the values of a node's children, left first, and returns the
-    node's value.  Leaves get no values.  Returns the root's value."""
-    values: list = []
-    stack: list[tuple[Expr | Formula, bool]] = [(ast, False)]
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Complement):
-            if ready:
-                values.append(combine(node, values.pop()))
-            else:
-                stack += ((node, True), (node.child, False))
-        elif isinstance(node, _Binary):
-            if ready:
-                right = values.pop()
-                values.append(combine(node, values.pop(), right))
-            else:
-                stack += ((node, True), (node.right, False), (node.left, False))
-        else:
-            values.append(combine(node))
-    return values.pop()
+def _not_an_expression(program: tuple, step: tuple) -> TypeError:
+    """The error naming the subtree of ``step``, the first non-expression step."""
+    return TypeError(f"not an expression node: {_rebuild(program[: program.index(step) + 1])!r}")
 
 
 def evaluate(ast: Expr, env: Mapping[str, SoftSet], ctx: Context) -> SoftSet:
-    """Evaluate bottom-up, calling each operation node's ``function`` of
-    ``softsets.algebra``, looked up at each call."""
-
-    def combine(node: Expr, *values: SoftSet) -> SoftSet:
-        function = getattr(node, "function", None)
-        if function:
-            return getattr(algebra, function)(*values)
-        if isinstance(node, Name):
-            if node.identifier not in env:
-                raise UnboundName(node.identifier)
-            value = env[node.identifier]
+    """Run the tree's program on a stack of soft sets: a name pushes its
+    binding and a constant its soft set, and an operation pops its
+    operands and pushes its ``function`` of ``softsets.algebra``, each
+    looked up once per call."""
+    program = ast._key()
+    complement = algebra.complement
+    binary = {cls: getattr(algebra, cls.function) for cls in _BINARY.values()}
+    values: list[SoftSet] = []
+    for cls, identifier in program:
+        if cls is Name:
+            if identifier not in env:
+                raise UnboundName(identifier)
+            value = env[identifier]
             if value.context is not ctx and value.context != ctx:
-                raise ContextMismatch(
-                    f"name {node.identifier} is bound in a different context"
-                )
-            return value
-        if isinstance(node, Empty):
-            return empty_soft_set(ctx)
-        if isinstance(node, Universal):
-            return universal_soft_set(ctx)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return fold(ast, combine)
+                raise ContextMismatch(f"name {identifier} is bound in a different context")
+            values.append(value)
+        elif cls is Complement:
+            values.append(complement(values.pop()))
+        elif cls in binary:
+            right = values.pop()
+            values.append(binary[cls](values.pop(), right))
+        elif cls is Empty:
+            values.append(empty_soft_set(ctx))
+        elif cls is Universal:
+            values.append(universal_soft_set(ctx))
+        else:
+            raise _not_an_expression(program, (cls, identifier))
+    return values.pop()
 
 
 def render(ast: Expr) -> str:
@@ -504,22 +494,28 @@ def render(ast: Expr) -> str:
     operand also when it binds just as tightly.  ``(F & G) & H`` renders
     as ``F & G & H``, ``F | (G & H)`` as ``F | G & H``.  Every pair of
     parentheses in the text stands for one that any source text of the
-    tree needs, so the rendering nests no deeper than its source."""
-
-    def wrap(part: tuple[str, int], level: int) -> str:
-        text, part_level = part
-        return f"({text})" if part_level < level else text
-
-    def combine(node: Expr, *parts: tuple[str, int]) -> tuple[str, int]:
-        if isinstance(node, Name):
-            return node.identifier, node.level
-        symbol = getattr(node, "symbol", None)
+    tree needs, so the rendering nests no deeper than its source.  The
+    tree's program runs on a stack of (text, level) parts."""
+    program = ast._key()
+    parts: list[tuple[str, int]] = []
+    for cls, identifier in program:
+        if cls is Name:
+            parts.append((identifier, cls.level))
+            continue
+        symbol = getattr(cls, "symbol", None)
         if symbol is None:
-            raise TypeError(f"not an expression node: {node!r}")
-        level = node.level
-        if len(parts) == 2:
-            return f"{wrap(parts[0], level)} {symbol} {wrap(parts[1], level + 1)}", level
-        # A keyword is its symbol alone; ``^c`` follows its operand.
-        return "".join(wrap(part, level) for part in parts) + symbol, level
-
-    return fold(ast, combine)[0]
+            raise _not_an_expression(program, (cls, identifier))
+        level = cls.level
+        if issubclass(cls, _Binary):
+            (left, left_level), (right, right_level) = parts[-2:]
+            del parts[-2:]
+            left = f"({left})" if left_level < level else left
+            right = f"({right})" if right_level <= level else right
+            text = f"{left} {symbol} {right}"
+        elif cls is Complement:
+            text, child_level = parts.pop()
+            text = (f"({text})" if child_level < level else text) + symbol
+        else:  # a keyword is its symbol alone
+            text = symbol
+        parts.append((text, level))
+    return parts.pop()[0]

@@ -361,14 +361,14 @@ def random_soft_set(ctx: Context, seed: int) -> SoftSet:
 # ---------------------------------------------------------------------------
 # Laws written as text
 #
-# A law's text parses into a formula (``expr.parse_formula``), which a
-# FormulaCheck folds once into a flat list of steps in post-order: EMPTY
-# or UNIVERSAL, an operation of ``softsets.algebra``, a relation or a
-# connective, each reading the arguments or the values of earlier
-# steps.  One loop runs the steps on soft sets that each hold w argument
-# tuples in the chunk layout of the module docstring.  A relation folds
-# the n blocks where it fails into one truth plane over the tuples, and
-# the connectives combine planes.  The run has two callers:
+# A law's text parses into a formula (``expr.parse_formula``), whose
+# program (``_key()``) a FormulaCheck reads once into a flat list of
+# steps in post-order: EMPTY or UNIVERSAL, an operation of
+# ``softsets.algebra``, a relation or a connective, each reading the
+# arguments or the values of earlier steps.  One loop runs the steps on
+# soft sets that each hold w argument tuples in the chunk layout of the
+# module docstring.  A relation folds the n blocks where it fails into
+# one truth plane over the tuples, and the connectives combine planes.  The run has two callers:
 #
 # * ``check(ctx, args)`` runs the steps on one tuple's soft sets over
 #   their own context, where w = 1, and reads the violation detail off
@@ -422,7 +422,8 @@ class FormulaCheck:
     """The ``check`` of a law written as text.
 
     Called as ``check(ctx, args)`` it returns None or a violation detail,
-    like any law check, and raises ContextMismatch for an argument over
+    like any law check, and raises ValueError for a tuple of another
+    length than the law's arity and ContextMismatch for an argument over
     another frame than ctx.  ``failures`` evaluates a chunk of tuples at
     once with the same steps.
     """
@@ -431,39 +432,37 @@ class FormulaCheck:
         self.text = text
         self.arg_names = arg_names
         self.formula = expr.parse_formula(text)
-        index = {name: i for i, name in enumerate(arg_names)}
-        names = set()
-        # A run's values are the arguments, then one value per step.  A
-        # step is (kind, a, b): an operation node's algebra function (the
-        # kinds in ``operations``), a formula's operator or a constant's
-        # class name, and the values of its operands.
-        steps: list[tuple[str, int, int | None]] = []
-        operations = set()
-
-        def step(node, a=None, b=None) -> int | None:
-            """The node's value: an argument's, or that of a new step."""
-            if isinstance(node, expr.Name):
-                names.add(node.identifier)
-                return index.get(node.identifier)
-            kind = getattr(node, "function", None)
-            if kind:
-                operations.add(kind)
-            else:
-                kind = node.op if isinstance(node, expr.Formula) else type(node).__name__
-            steps.append((kind, a, b))
-            return len(arg_names) + len(steps) - 1
-
-        expr.fold(self.formula, step)
+        program = self.formula._key()
+        names = {scalar for cls, scalar in program if cls is expr.Name}
         if sorted(names) != sorted(arg_names):  # also refuses a repeated argument
             raise ValueError(f"law {text!r} names {sorted(names)}, not the arguments {list(arg_names)}")
+        index = {name: i for i, name in enumerate(arg_names)}
+        # A run's values are the arguments, then one value per step.  A
+        # step is (kind, a, b): an operation node's algebra function (the
+        # kinds in ``_operations``), a formula's operator or a constant's
+        # class name, and the values of its operands, or None.  The loop
+        # keeps the value of each subtree read so far on a stack.
+        steps: list[tuple[str, int, int | None]] = []
+        stack: list[int] = []
+        for cls, scalar in program:
+            first = len(stack) - len(cls.__match_args__) + (scalar is not None)
+            a, b, *_ = stack[first:] + [None, None]
+            del stack[first:]
+            if cls is expr.Name:
+                stack.append(index[scalar])
+            else:
+                steps.append((getattr(cls, "function", None) or scalar or cls.__name__, a, b))
+                stack.append(len(arg_names) + len(steps) - 1)
         self._steps = steps
-        self._operations = frozenset(operations)
+        self._operations = frozenset(cls.function for cls, _ in program if hasattr(cls, "function"))
         kind, hypothesis, _ = steps[-1]
         # The first value of the conclusion, where an implication stops
         # when no tuple meets its hypothesis.
         self._conclusion = hypothesis + 1 if kind == "=>" else len(arg_names)
 
     def __call__(self, ctx: Context, args: tuple[SoftSet, ...]) -> str | None:
+        if len(args) != len(self.arg_names):
+            raise ValueError(f"law {self.text!r} takes {len(self.arg_names)} arguments, not {len(args)}")
         _check_contexts(ctx, args)
         failing, values = self._run(ctx, args, len(ctx.objects) * len(ctx.parameters), 1)
         if not failing:
@@ -758,6 +757,8 @@ def shrink(
     cell, skip the scan: they only have arguments emptied, on their own
     frame.
     """
+    if len(args) != law.arity:
+        raise ValueError(f"law {law.id} takes {law.arity} arguments, not {len(args)}")
     check = law.check
     if len(ctx.objects) * len(ctx.parameters) > 1:
         ctx, args = next(

@@ -541,6 +541,15 @@ class TestParseMatchesAPeekAdvanceLoop:
             assert _parsed(parse_formula, text) == _parsed(_reference_parse_formula, text), text
 
 
+# Trees that hold a formula, and the start of the TypeError's message:
+# the repr of the first formula in post-order.
+NOT_EXPRESSIONS = [
+    (parse_formula("F = F"), "Formula(op='=', left=Name(identifier='F'), right=Name(identifier='F'))"),
+    (Intersect(Name("F"), parse_formula("EMPTY <= G^c")), "Formula(op='<=', left=Empty(), "),
+    (parse_formula("F = F and G = G"), "Formula(op='=', left=Name(identifier='F'), "),
+]
+
+
 class TestEvaluate:
     @pytest.fixture
     def houses(self):
@@ -572,10 +581,11 @@ class TestEvaluate:
         assert evaluate(parse_text("EMPTY"), env, ctx) == empty_soft_set(ctx)
         assert evaluate(parse_text("UNIVERSAL"), env, ctx) == universal_soft_set(ctx)
 
-    def test_a_formula_is_not_an_expression(self, houses):
+    @pytest.mark.parametrize("tree, named", NOT_EXPRESSIONS, ids=["formula", "nested", "conjunction"])
+    def test_a_formula_is_not_an_expression(self, houses, tree, named):
         ctx, env = houses
-        with pytest.raises(TypeError):
-            evaluate(parse_formula("F = F"), env, ctx)
+        with pytest.raises(TypeError, match=f"^not an expression node: {re.escape(named)}"):
+            evaluate(tree, env, ctx)
 
     def test_unbound_name(self, houses):
         ctx, env = houses
@@ -587,14 +597,20 @@ class TestEvaluate:
         ctx, env = houses
         other = new_context(("x1",), ("e1",))
         env = dict(env, H=make(other, e1="x1"))
-        with pytest.raises(ContextMismatch):
-            evaluate(parse_text("F | H"), env, ctx)
+        for text in ["F | H", "F | H & X"]:
+            with pytest.raises(ContextMismatch, match="^name H is bound in a different context$"):
+                evaluate(parse_text(text), env, ctx)
 
     def test_left_operand_is_evaluated_first(self, houses):
+        # The error names the first unbound name in post-order.
         ctx, env = houses
-        with pytest.raises(UnboundName) as exc_info:
-            evaluate(parse_text("(X | F) & Y"), env, ctx)
-        assert exc_info.value.name == "X"
+        for text, first in [
+            ("(X | F) & Y", "X"), ("X^c & Y", "X"), ("F & (Y | X)", "Y"),
+            ("(X - F)^c | Y & Z", "X"), ("EMPTY | F & X", "X"),
+        ]:
+            with pytest.raises(UnboundName) as exc_info:
+                evaluate(parse_text(text), env, ctx)
+            assert exc_info.value.name == first
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**9))
@@ -637,9 +653,10 @@ class TestRender:
         assert render(parse_text("(F & G)^c")) == "(F & G)^c"
         assert render(parse_text("F^c^c")) == "F^c^c"
 
-    def test_a_formula_is_not_an_expression(self):
-        with pytest.raises(TypeError):
-            render(parse_formula("F = F"))
+    @pytest.mark.parametrize("tree, named", NOT_EXPRESSIONS, ids=["formula", "nested", "conjunction"])
+    def test_a_formula_is_not_an_expression(self, tree, named):
+        with pytest.raises(TypeError, match=f"^not an expression node: {re.escape(named)}"):
+            render(tree)
         assert render(parse_text("EMPTY")) == "EMPTY"
 
     @settings(max_examples=300, deadline=None)
@@ -689,6 +706,146 @@ class TestRender:
         assert depth <= 1000
         assert parse_text(rendered) == tree
         assert render(parse_text(rendered)) == rendered
+
+
+# The fold-based walks that ``_key()``'s program replaced: a reference
+# for ``evaluate``, ``render`` and the key.
+
+
+def _fold(ast, combine):
+    values = []
+    stack = [(ast, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Complement):
+            if ready:
+                values.append(combine(node, values.pop()))
+            else:
+                stack += ((node, True), (node.child, False))
+        elif isinstance(node, (Intersect, Union, Difference, Formula)):
+            if ready:
+                right = values.pop()
+                values.append(combine(node, values.pop(), right))
+            else:
+                stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            values.append(combine(node))
+    return values.pop()
+
+
+def _reference_evaluate(ast, env, ctx):
+    def combine(node, *values):
+        function = getattr(node, "function", None)
+        if function:
+            return getattr(algebra, function)(*values)
+        if isinstance(node, Name):
+            if node.identifier not in env:
+                raise UnboundName(node.identifier)
+            value = env[node.identifier]
+            if value.context is not ctx and value.context != ctx:
+                raise ContextMismatch(f"name {node.identifier} is bound in a different context")
+            return value
+        if isinstance(node, Empty):
+            return empty_soft_set(ctx)
+        if isinstance(node, Universal):
+            return universal_soft_set(ctx)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return _fold(ast, combine)
+
+
+def _reference_render(ast):
+    def wrap(part, level):
+        text, part_level = part
+        return f"({text})" if part_level < level else text
+
+    def combine(node, *parts):
+        if isinstance(node, Name):
+            return node.identifier, node.level
+        symbol = getattr(node, "symbol", None)
+        if symbol is None:
+            raise TypeError(f"not an expression node: {node!r}")
+        level = node.level
+        if len(parts) == 2:
+            return f"{wrap(parts[0], level)} {symbol} {wrap(parts[1], level + 1)}", level
+        return "".join(wrap(part, level) for part in parts) + symbol, level
+
+    return _fold(ast, combine)[0]
+
+
+def _reference_key(ast):
+    key = []
+
+    def visit(node, *_):
+        key.append(type(node))
+        if isinstance(node, Name):
+            key.append(node.identifier)
+        elif isinstance(node, Formula):
+            key.append(node.op)
+
+    _fold(ast, visit)
+    return tuple(key)
+
+
+def _flat(program):
+    """A program in the reference key's form: each step's class, then its
+    scalar if it has one."""
+    return tuple(x for cls, scalar in program for x in (cls, scalar)[: 1 + (scalar is not None)])
+
+
+def _outcome(function, *args):
+    """What ``function`` returns, or its exception's type and message."""
+    try:
+        return function(*args)
+    except (UnboundName, ContextMismatch, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestProgramMatchesAFold:
+    """``evaluate``, ``render`` and ``_key()`` run the tree's program and
+    give what a fold over the tree gave: the same soft set, text and
+    steps, or the same exception and message."""
+
+    @pytest.fixture(scope="class")
+    def envs(self):
+        ctx = new_context(("x1", "x2", "x3"), ("e1", "e2"))
+        other = new_context(("x1",), ("e1",))
+        f, g = random_soft_set(ctx, 1), random_soft_set(ctx, 2)
+        # The grammar's names bound; "and" unbound; G1 over another frame.
+        # Names joined with no blank between them are unbound in all.
+        return ctx, [
+            {"F": f, "G1": g, "and": f},
+            {"F": f, "G1": g},
+            {"F": f, "G1": random_soft_set(other, 3), "and": g},
+        ]
+
+    def trees(self):
+        rng = random.Random(31)
+        for text in _expression_texts(rng, 3000):
+            try:
+                yield parse_text(text)
+            except (LexError, ParseError):
+                pass
+        yield parse_text(" & ".join(["F"] * 3000))
+        yield parse_text("F" + "^c" * 3000)
+
+    def test_evaluate_render_and_key(self, envs):
+        ctx, envs = envs
+        count = 0
+        for tree in self.trees():
+            assert _flat(tree._key()) == _reference_key(tree)
+            assert render(tree) == _reference_render(tree)
+            for env in envs:
+                assert _outcome(evaluate, tree, env, ctx) == _outcome(_reference_evaluate, tree, env, ctx)
+            count += 1
+        assert count > 1000
+
+    def test_formula_keys(self):
+        texts = [law.statement for law in (*law_catalog(), *BROKEN_LAWS) if hasattr(law.check, "formula")]
+        texts.append(" and ".join(["F - G = F & G^c"] * 1500) + " => F" + " | G" * 1500 + " <= F")
+        for text in texts:
+            formula = parse_formula(text)
+            assert _flat(formula._key()) == _reference_key(formula)
 
 
 # Parses, evaluates, renders and reparses, compares, hashes, prints,
@@ -790,6 +947,14 @@ class TestTreeIdentity:
         # Complement(Empty()), and Name("a b") would not parse at all.
         with pytest.raises(ValueError):
             Name(identifier)
+
+    @pytest.mark.parametrize("text", ["EMPTY", "a b"])
+    def test_a_name_token_is_one_name_lexeme(self, text):
+        # Otherwise parse([Token(NAME, "EMPTY", 1, 1)]) would build
+        # Name("EMPTY"), which renders as the keyword.
+        with pytest.raises(ValueError):
+            Token(NAME, text, 1, 1)
+        assert Token(EMPTY_KW, "EMPTY", 1, 1).text == "EMPTY"
 
     @pytest.mark.parametrize("identifier", ["and", "F1", "_x"])
     def test_a_name_lexeme_builds_a_name(self, identifier):

@@ -133,8 +133,7 @@ class TestFormulaLaws:
                 formula = expr.parse_formula(template.format(lexeme))
             except (expr.LexError, expr.ParseError):
                 continue
-            expr.fold(formula, lambda node, *_: ops.add(getattr(node, "op", None)))
-        ops.discard(None)
+            ops.update(op for cls, op in formula._key() if cls is expr.Formula)
         assert ops == {"=", "<=", "and", "=>", "<=>"}
 
     def test_violation_details(self, ctx22):
@@ -149,6 +148,19 @@ class TestFormulaLaws:
             "the left side is False but the right side is True"
         )
         assert formula_law("imp", "F G", "F = G => F <= G").check(ctx22, (f, g)) is None
+
+    def test_a_tuple_of_another_length_is_refused(self, ctx22):
+        # With three arguments the values of the steps would shift and
+        # read as a pass; with one, a step would read past the values.
+        law = formula_law("x", "F G", "F = G")
+        f = make(ctx22, e1="x1")
+        for args in [(f, f, f), (f,), ()]:
+            with pytest.raises(ValueError, match=f"takes 2 arguments, not {len(args)}$"):
+                law.check(ctx22, args)
+        # On one cell with an empty argument, shrinking calls no check.
+        for ctx, arg in [(ctx22, f), (new_context(("x1",), ("e1",)), None)]:
+            with pytest.raises(ValueError, match="takes 2 arguments, not 1$"):
+                shrink(law, ctx, (arg or SoftSet(ctx, 0),))
 
 
 class TestEnumeration:
