@@ -21,11 +21,12 @@ verdict loop (``_check_chunks``).  Exhaustive checking takes the chunks
 from the enumeration, in ``itertools.product`` order; random checking
 draws them (``_random_chunk``, at the fixed ``DEFINED_DENSITY`` and
 ``MEMBER_DENSITY``) in rounds, one member plane for every image still
-empty per round.  Laws with the same frame, trial count, arity and seed
-draw the same tuples, so when one chunk, of at most
-``RANDOM_CHUNK_PLANE_BITS`` bits or one tuple, covers all the trials
-they share one memoized draw (``_one_round``); more trials draw
-afresh.  The loop evaluates a law written as text bit-sliced
+empty per round.  The draw of an arity-k law is the first k argument
+chunks of the seed's stream, so when one chunk, of at most
+``RANDOM_CHUNK_PLANE_BITS`` bits or one tuple, covers all the trials,
+laws with the same frame sizes, trial count and seed share one memoized
+stream (``_one_round``) and each reads the prefix its arity needs; more
+trials draw afresh.  The loop evaluates a law written as text bit-sliced
 (``FormulaCheck.failures``) and reads only its first failing tuple off
 the chunks (``_trial``) in both modes; any other check gets the same
 tuples one at a time, from the enumeration's ``itertools.product`` or
@@ -53,7 +54,7 @@ from functools import cache, lru_cache, partial
 
 from . import algebra, expr
 from .errors import DEFAULT_CAP, ContextMismatch, EnumerationTooLarge
-from .model import Context, SoftSet, _bare_soft_set, empty_soft_set, universal_soft_set
+from .model import Context, SoftSet, _bare_soft_set, _cell_context, empty_soft_set, universal_soft_set
 
 __all__ = [
     "DEFAULT_CAP",
@@ -331,16 +332,19 @@ def _draw(
 
 @lru_cache(maxsize=4)
 def _one_round(
-    ctx: Context, trials: int, arity: int, seed: int,
+    n_objects: int, n_params: int, trials: int, seed: int,
     defined_density: float, member_density: float,
-) -> tuple[int, ...]:
-    """The draw of a random check that one chunk covers, which laws of
-    the same frame, trial count, arity and seed share.  The key holds
-    all that the draw depends on, the densities too, so a patched
-    constant gets a new draw.  An entry is one chunk's arguments, at
-    most ``RANDOM_CHUNK_PLANE_BITS`` bits or one tuple's when that is
-    wider, and the four entries fit one draw per arity of the catalog."""
-    return _draw(ctx, trials, arity, random.Random(seed), defined_density, member_density)
+) -> list[tuple[tuple[int, ...], random.Random]]:
+    """The stream of the random checks that one chunk covers, which laws
+    of the same frame sizes, trial count and seed share whatever their
+    arity: a list of one pair, the argument chunks drawn so far and the
+    ``random.Random(seed)`` that drew them (``_random_chunks`` extends
+    it).  The key holds all that the draw depends on, the densities too,
+    so a patched constant gets a new stream, and nothing of the frame but
+    its sizes, which is all ``_random_chunk`` reads.  An entry is one
+    chunk's arguments, at most ``RANDOM_CHUNK_PLANE_BITS`` bits or one
+    tuple's when that is wider."""
+    return [((), random.Random(seed))]
 
 
 def _seed(seed: int) -> int:
@@ -643,10 +647,23 @@ def _exhaustive_chunks(n: int, arity: int) -> Iterator[tuple[int, int, tuple[int
 
 def _random_chunks(ctx: Context, n: int, arity: int, trials: int, seed: int):
     """The (start, width, argument chunks) of ``trials`` seeded random
-    tuples: the memoized draw when one chunk covers them all."""
+    tuples: the first ``arity`` chunks of the memoized stream when one
+    chunk covers them all.  Each call takes the stream's pair off it and
+    puts it back, drawn on to ``arity`` chunks, so no other call draws
+    from that generator meanwhile; a call that finds no pair, as another
+    call holds it or a draw raised, draws from the seed."""
     per_chunk = max(1, min(1 << CHUNK_BITS, RANDOM_CHUNK_PLANE_BITS // max(1, n * arity)))
     if trials <= per_chunk:
-        yield 0, trials, _one_round(ctx, trials, arity, seed, DEFINED_DENSITY, MEMBER_DENSITY)
+        dd, md = DEFINED_DENSITY, MEMBER_DENSITY
+        stream = _one_round(len(ctx.objects), len(ctx.parameters), trials, seed, dd, md)
+        try:
+            chunks, rng = stream.pop()
+        except IndexError:
+            chunks, rng = (), random.Random(seed)
+        if len(chunks) < arity:
+            chunks += _draw(ctx, trials, arity - len(chunks), rng, dd, md)
+        stream.append((chunks, rng))
+        yield 0, trials, chunks[:arity]
         return
     rng = random.Random(seed)
     for start in range(0, trials, per_chunk):
@@ -730,7 +747,7 @@ def _cells(
     offset = 0
     for parameter in reversed(parameters):
         for k in reversed(range(len(objects))):
-            cell = Context((objects[k],), (parameter,))
+            cell = _cell_context(objects[k], parameter)
             yield cell, tuple(_bare_soft_set(cell, a.bits >> offset + k & 1) for a in args)
         offset += len(objects)
 

@@ -227,6 +227,18 @@ _set_object_bit = Context._object_bit.__set__
 _set_parameter_offset = Context._parameter_offset.__set__
 
 
+def _cell_context(obj: str, parameter: str) -> Context:
+    """The 1x1 frame of one object and one parameter of a valid context,
+    built without ``__init__`` and its checks of names that context has
+    passed: the one-cell frames that shrinking tries."""
+    c = object.__new__(Context)
+    _set_objects(c, (obj,))
+    _set_parameters(c, (parameter,))
+    _set_full_mask(c, 1)
+    _set_full_bits(c, 1)
+    return c
+
+
 # The constructor under its older public name.
 new_context = Context
 

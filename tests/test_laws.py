@@ -4,6 +4,7 @@ generation, exhaustive and randomized verification, shrinking."""
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import subprocess
@@ -48,7 +49,7 @@ from softsets.laws import (
     _transposed,
     _trial,
 )
-from softsets.model import SoftSet, new_context, soft_set
+from softsets.model import Context, SoftSet, new_context, soft_set
 
 from .conftest import child_env, frame, make
 from .mutants import BROKEN_LAWS
@@ -1062,33 +1063,150 @@ class TestDrawMemo:
     def test_threads_get_the_sequential_reports(self, ctx33):
         # more threads than cores, each with its own seed, switching often:
         # the memo's four entries are evicted and refilled concurrently
-        seeds = (0, 1, 2, 3)
+        _assert_threads_get_the_sequential_reports(ctx33, (0, 1, 2, 3))
 
-        def run(seed):
-            return [check_random(law, ctx33, 100, seed) for law in RANDOM_LAWS]
+    def test_threads_on_one_stream_get_the_sequential_reports(self, ctx33):
+        # four threads extend and read the same stream concurrently
+        _assert_threads_get_the_sequential_reports(ctx33, (5, 5, 5, 5))
 
-        expected = {seed: run(seed) for seed in seeds}
+    @pytest.mark.parametrize("order", [(1, 2, 3, 4), (4, 3, 2, 1), (0, 4, 1, 3, 0, 2), (2, 1, 4, 2, 1, 4)])
+    def test_every_arity_reads_a_prefix_of_one_stream(self, order):
+        for shape, seed, trials in itertools.product([(0, 0), (1, 1), (4, 3), (6, 6)], (0, 9), (1, 50, 1000)):
+            ctx = frame(*shape)
+            laws._one_round.cache_clear()
+            for arity in order:
+                assert _memoized_draw(ctx, arity, trials, seed) == _stream_reference(ctx, trials, arity, seed)
+            assert laws._one_round.cache_info().misses == 1, (shape, seed, trials)
+
+    def test_trials_on_both_sides_of_each_one_chunk_bound(self, monkeypatch):
+        # 108 plane bits make chunks of 12, 6, 4 and 3 trials at 3 x 3 for
+        # arities 1 to 4: an arity past its bound draws afresh, and the
+        # arities within theirs share one stream
+        monkeypatch.setattr(laws, "RANDOM_CHUNK_PLANE_BITS", 108)
+        ctx = frame(3, 3)
+        for trials, seed in itertools.product((2, 3, 4, 5, 6, 7, 12, 13), (0, 5)):
+            laws._one_round.cache_clear()
+            for arity in (4, 1, 3, 2, 4):
+                per_chunk = 108 // (9 * arity)
+                rng = random.Random(seed)
+                expected = [
+                    (start, min(per_chunk, trials - start), _draw_chunks(ctx, min(per_chunk, trials - start), arity, rng))
+                    for start in range(0, trials, per_chunk)
+                ]
+                assert list(_random_chunks(ctx, 9, arity, trials, seed)) == expected, (trials, arity)
+                if trials <= per_chunk:
+                    assert expected == [(0, trials, _stream_reference(ctx, trials, arity, seed))]
+            assert laws._one_round.cache_info().currsize == int(trials <= 12), trials
+
+    def test_frames_of_equal_sizes_share_one_stream(self):
+        seen = []
+
+        def record(c, args):
+            seen.append(args)
+
+        law = Law("record", 2, "records its tuples", record, ("F", "G"))
+        frames = [frame(3, 2), new_context(("a", "b", "c"), ("p", "q"))]
         laws._one_round.cache_clear()
-        barrier = threading.Barrier(len(seeds))
-        results = {}
+        reports = [check_random(law, ctx, 50, 0) for ctx in frames]
+        sliced = [check_random(BROKEN_LAWS[0], ctx, 50, 0) for ctx in frames]
+        assert laws._one_round.cache_info()[:2] == (3, 1)  # hits, misses
+        assert reports[0].passed and reports[1].passed
+        assert len(seen) == 100
+        for ctx, tuples in zip(frames, (seen[:50], seen[50:])):
+            assert all(a.context is ctx for args in tuples for a in args)
+        assert [a.bits for args in seen[:50] for a in args] == [a.bits for args in seen[50:] for a in args]
+        one, other = (report.counterexample for report in sliced)
+        assert sliced[0].cases == sliced[1].cases
+        assert [a.bits for a in one.args] == [a.bits for a in other.args]
+        assert set(one.context.objects) <= set(frames[0].objects)
+        assert set(other.context.objects) <= set(frames[1].objects)
 
-        def worker(seed):
-            barrier.wait()
-            results[seed] = [run(seed) for _ in range(3)]
+    def test_the_default_catalog_draws_four_chunks(self, monkeypatch):
+        # one stream at 4 x 3 and 1,000 trials: the first law of each new
+        # arity draws one more chunk, where one draw per arity took 10
+        calls = []
 
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for seed in seeds:
-            assert results[seed] == [expected[seed]] * 3, seed
+        def counted(*args):
+            calls.append(args[1])
+            return _random_chunk(*args)
+
+        monkeypatch.setattr(laws, "_random_chunk", counted)
+        laws._one_round.cache_clear()
+        ctx = frame(4, 3)
+        assert all(check_random(law, ctx, 1000, 0).passed for law in law_catalog())
+        assert calls == [1000] * 4
+        assert laws._one_round.cache_info().misses == 1
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 2])
+    def test_an_interrupted_draw_leaves_no_stale_stream(self, fail_at, monkeypatch, ctx33):
+        laws._one_round.cache_clear()
+        assert _memoized_draw(ctx33, 1, 100, 0) == _stream_reference(ctx33, 100, 1, 0)
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == fail_at + 1:
+                raise RuntimeError("interrupted")
+            return _random_chunk(*args)
+
+        monkeypatch.setattr(laws, "_random_chunk", flaky)
+        with pytest.raises(RuntimeError):
+            _memoized_draw(ctx33, 4, 100, 0)  # draws chunks 2 to 4
+        for arity in (4, 1, 3, 2, 4):
+            assert _memoized_draw(ctx33, arity, 100, 0) == _stream_reference(ctx33, 100, arity, 0)
+        for law in RANDOM_LAWS:
+            report = check_random(law, ctx33, 100, 0)
+            laws._one_round.cache_clear()
+            assert check_random(law, ctx33, 100, 0) == report, law.id
+
+
+def _draw_chunks(ctx, width, arity, rng):
+    return tuple(_random_chunk(ctx, width, rng, laws.DEFINED_DENSITY, laws.MEMBER_DENSITY) for _ in range(arity))
+
+
+def _stream_reference(ctx, trials, arity, seed):
+    """The draw of a random check that one chunk covers: ``arity`` chunks
+    of ``trials`` trials, in turn from one generator of the seed."""
+    return _draw_chunks(ctx, trials, arity, random.Random(seed))
+
+
+def _memoized_draw(ctx, arity, trials, seed):
+    """The argument chunks of a random check that one chunk covers."""
+    n = len(ctx.objects) * len(ctx.parameters)
+    ((start, width, chunks),) = _random_chunks(ctx, n, arity, trials, seed)
+    assert (start, width) == (0, trials)
+    return chunks
+
+
+def _assert_threads_get_the_sequential_reports(ctx, seeds):
+    """Threads, one per seed of ``seeds``, switching often, each check
+    every random law three times and get the reports of a sequential run."""
+
+    def run(seed):
+        return [check_random(law, ctx, 100, seed) for law in RANDOM_LAWS]
+
+    expected = {seed: run(seed) for seed in seeds}
+    laws._one_round.cache_clear()
+    barrier = threading.Barrier(len(seeds))
+    results = {}
+
+    def worker(k, seed):
+        barrier.wait()
+        results[k] = [run(seed) for _ in range(3)]
+
+    threads = [threading.Thread(target=worker, args=item) for item in enumerate(seeds)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, seed in enumerate(seeds):
+        assert results[k] == [expected[seed]] * 3, seed
 
 
 class TestConditionalLaws:
@@ -1193,6 +1311,27 @@ class TestShrink:
         broken = BROKEN_LAWS[3]
         args = self._violating_args(broken, ctx33)
         assert shrink(broken, ctx33, args) == shrink(broken, ctx33, args)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (6, 6)])
+    def test_cell_frames_are_the_validated_contexts(self, shape):
+        # _cells builds each 1x1 frame without Context.__init__; each
+        # equals, hashes, reprs and pickles as the validated one, and
+        # builds its lookup maps on first read as that one does
+        ctx = frame(*shape)
+        cells = list(laws._cells(ctx, (SoftSet(ctx, ctx.full_bits),)))
+        names = [(o, p) for p in reversed(ctx.parameters) for o in reversed(ctx.objects)]
+        assert len(cells) == len(names)
+        for (cell, (arg,)), (o, p) in zip(cells, names):
+            ref = Context((o,), (p,))
+            assert type(cell) is Context
+            assert cell == ref and hash(cell) == hash(ref) and repr(cell) == repr(ref)
+            assert (cell.full_mask, cell.full_bits) == (ref.full_mask, ref.full_bits) == (1, 1)
+            for c in (cell, ref):
+                assert not hasattr(c, "_object_bit") and not hasattr(c, "_parameter_offset")
+            assert (cell.object_bit, cell.parameter_offset) == (ref.object_bit, ref.parameter_offset)
+            assert cell._object_bit is cell.object_bit
+            assert pickle.loads(pickle.dumps(cell)) == ref
+            assert arg == SoftSet(ref, 1)
 
     def test_already_minimal_input_is_returned_unchanged(self):
         ctx = new_context(("x1",), ("e1",))
