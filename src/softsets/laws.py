@@ -335,15 +335,13 @@ def _one_round(
     n_objects: int, n_params: int, trials: int, seed: int,
     defined_density: float, member_density: float,
 ) -> list[tuple[tuple[int, ...], random.Random]]:
-    """The stream of the random checks that one chunk covers, which laws
-    of the same frame sizes, trial count and seed share whatever their
-    arity: a list of one pair, the argument chunks drawn so far and the
-    ``random.Random(seed)`` that drew them (``_random_chunks`` extends
-    it).  The key holds all that the draw depends on, the densities too,
-    so a patched constant gets a new stream, and nothing of the frame but
-    its sizes, which is all ``_random_chunk`` reads.  An entry is one
-    chunk's arguments, at most ``RANDOM_CHUNK_PLANE_BITS`` bits or one
-    tuple's when that is wider."""
+    """The stream that random checks one chunk covers share, whatever
+    their arity: a list of pairs, one unless calls overlapped, of the
+    argument chunks drawn so far and the ``random.Random(seed)`` that drew
+    them.  The key holds all that
+    ``_random_chunk`` reads, the frame's sizes and the densities too, so
+    a patched constant gets a new stream.  An entry holds at most
+    ``RANDOM_CHUNK_PLANE_BITS`` bits, or one tuple's when that is wider."""
     return [((), random.Random(seed))]
 
 

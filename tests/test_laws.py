@@ -1159,6 +1159,24 @@ class TestDrawMemo:
             laws._one_round.cache_clear()
             assert check_random(law, ctx33, 100, 0) == report, law.id
 
+    def test_a_draw_begun_while_the_stream_is_extended_gets_the_reference(self, monkeypatch, ctx33):
+        # a call that starts while another one extends the stream, as a
+        # thread switch would let it, must not draw from that generator
+        laws._one_round.cache_clear()
+        nested = []
+
+        def reentrant(*args):
+            if not nested:
+                nested.append(None)  # the nested call's own draws come here too
+                nested.append(_memoized_draw(ctx33, 2, 100, 0))
+            return _random_chunk(*args)
+
+        monkeypatch.setattr(laws, "_random_chunk", reentrant)
+        assert _memoized_draw(ctx33, 3, 100, 0) == _stream_reference(ctx33, 100, 3, 0)
+        assert nested[1] == _stream_reference(ctx33, 100, 2, 0)
+        for arity in (4, 1, 3, 2, 4):
+            assert _memoized_draw(ctx33, arity, 100, 0) == _stream_reference(ctx33, 100, arity, 0)
+
 
 def _draw_chunks(ctx, width, arity, rng):
     return tuple(_random_chunk(ctx, width, rng, laws.DEFINED_DENSITY, laws.MEMBER_DENSITY) for _ in range(arity))
