@@ -31,11 +31,12 @@ trials draw afresh.  The loop evaluates a law written as text bit-sliced
 the chunks (``_trial``) in both modes; any other check gets the same
 tuples one at a time, from the enumeration's ``itertools.product`` or
 transposed from the random chunks (``_transpose``).  The decoded and
-transposed tuples, like the shrink candidates, are in range by
-construction and skip ``SoftSet``'s range check, as the algebra's
-results do.  A single tuple is a chunk of width 1 over the
-tuple's own frame, so the check that shrinking and replay call on every
-law runs the same steps as the checkers do.
+transposed tuples, like the shrink candidates and the EMPTY and
+UNIVERSAL of a run, are in range by construction and skip ``SoftSet``'s
+range check, as the algebra's results do; the argument chunks that
+``failures`` is given keep it.  A single tuple is a chunk of width 1
+over the tuple's own frame, so the check that shrinking and replay call
+on every law runs the same steps as the checkers do.
 
 Shrinking restricts a failing tuple to one cell of its frame, one object
 by one parameter, keeping the first cell where the law still fails, and
@@ -54,7 +55,7 @@ from functools import cache, lru_cache, partial
 
 from . import algebra, expr
 from .errors import DEFAULT_CAP, ContextMismatch, EnumerationTooLarge
-from .model import Context, SoftSet, _bare_soft_set, _cell_context, empty_soft_set, universal_soft_set
+from .model import Context, SoftSet, _bare_soft_set, _cell_context
 
 __all__ = [
     "DEFAULT_CAP",
@@ -369,8 +370,10 @@ def random_soft_set(ctx: Context, seed: int) -> SoftSet:
 # ``softsets.algebra``, a relation or a connective, each reading the
 # arguments or the values of earlier steps.  One loop runs the steps on
 # soft sets that each hold w argument tuples in the chunk layout of the
-# module docstring.  A relation folds the n blocks where it fails into
-# one truth plane over the tuples, and the connectives combine planes.  The run has two callers:
+# module docstring.  A relation that holds on every tuple of the chunk
+# is decided by one comparison of its sides' bits; only one that fails
+# somewhere folds the n blocks where it fails into one truth plane over
+# the tuples.  The connectives combine planes.  The run has two callers:
 #
 # * ``check(ctx, args)`` runs the steps on one tuple's soft sets over
 #   their own context, where w = 1, and reads the violation detail off
@@ -395,6 +398,12 @@ class _ChunkFrame:
     nothing from a frame but ``full_bits``."""
 
     full_bits: int
+
+
+@lru_cache(maxsize=32)
+def _chunk_frame(bits: int) -> _ChunkFrame:
+    """The frame of ``bits``-bit chunks, built once per size."""
+    return _ChunkFrame(_ones(bits))
 
 
 @cache
@@ -497,12 +506,15 @@ class FormulaCheck:
                 value = function(values[a]) if b is None else function(values[a], values[b])
             # Relations compare bits as algebra.equals and algebra.subset
             # do; a & ~b is taken as (a | b) ^ b, which makes no negative
-            # intermediate, slow on big integers.
+            # intermediate, slow on big integers.  A relation that holds
+            # on the whole chunk needs no fold.
             elif kind == "=":
-                value = ones ^ _or_blocks(values[a].bits ^ values[b].bits, n, width)
+                s, t = values[a].bits, values[b].bits
+                value = ones if s == t else ones ^ _or_blocks(s ^ t, n, width)
             elif kind == "<=":
                 s, t = values[a].bits, values[b].bits
-                value = ones ^ _or_blocks((s | t) ^ t, n, width)
+                u = s | t
+                value = ones if u == t else ones ^ _or_blocks(u ^ t, n, width)
             elif kind == "and":
                 value = values[a] & values[b]
             elif kind == "=>":
@@ -510,9 +522,9 @@ class FormulaCheck:
             elif kind == "<=>":
                 value = ones ^ values[a] ^ values[b]
             elif kind == "Empty":
-                value = empty_soft_set(frame)
+                value = _bare_soft_set(frame, 0)
             else:  # "Universal"
-                value = universal_soft_set(frame)
+                value = _bare_soft_set(frame, frame.full_bits)
             values.append(value)
             if len(values) == conclusion and not value:
                 return 0, values
@@ -523,7 +535,7 @@ class FormulaCheck:
         chunk of ``width`` tuples of ``n``-bit soft sets, block j holding
         packed bit j.  Returns the plane of the tuples that violate the
         law, bit t for tuple t."""
-        frame = _ChunkFrame(_ones(n * width))
+        frame = _chunk_frame(n * width)
         return self._run(frame, [SoftSet(frame, chunk) for chunk in chunks], n, width)[0]
 
 

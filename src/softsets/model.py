@@ -377,7 +377,8 @@ def _bare_soft_set(context: Context, bits: int) -> SoftSet:
     """The soft set of ``bits`` over ``context``, built as the algebra
     builds its results: without ``__init__`` and its range check, for
     bits in [0, context.full_bits] by construction.  Law checking builds
-    its one-cell shrink candidates and transposed tuples with it."""
+    its one-cell shrink candidates, transposed tuples and the constants
+    of a law's run with it."""
     s = object.__new__(SoftSet)
     _set_context(s, context)
     _set_bits(s, bits)
