@@ -285,10 +285,12 @@ class SoftSet(_Frozen):
     def __init__(self, context: Context, bits: int):
         bits = operator.index(bits)  # a float or other non-integer raises TypeError
         if not 0 <= bits <= context.full_bits:
-            raise ValueError(
-                f"bits out of range for a context of "
+            size = (
                 f"{len(context.objects)} objects x {len(context.parameters)} parameters"
+                if isinstance(context, Context)
+                else f"{context.full_bits.bit_length()} bits"  # a law check's chunk frame
             )
+            raise ValueError(f"bits out of range for a context of {size}")
         _set_context(self, context)
         _set_bits(self, bits)
 

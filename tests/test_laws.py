@@ -986,6 +986,87 @@ class TestSlicedRandomChecking:
         assert peak < 4_000_000, peak
 
 
+def _tuple_of(ctx, chunks, width, t):
+    """Tuple ``t`` of a chunk, decoded bit by bit: bit j of argument i is
+    bit j·width + t of its chunk."""
+    n = len(ctx.objects) * len(ctx.parameters)
+    return tuple(
+        SoftSet(ctx, sum((chunk >> j * width + t & 1) << j for j in range(n))) for chunk in chunks
+    )
+
+
+def _plane_by_check(law, ctx, width, tuples):
+    """The plane of the tuples that ``law.check`` refutes, bit t for tuple t."""
+    plane = 0
+    for t, args in enumerate(tuples):
+        plane |= (law.check(ctx, args) is not None) << t
+    assert t == width - 1
+    return plane
+
+
+# Laws with one relation that fails on a hand-built chunk where only the
+# top block (j = n-1) of the last tuple (t = width-1) of G is set.
+ONE_TUPLE_LAWS = (
+    formula_law("equal", "F G", "F = G"),
+    formula_law("subset", "F G", "G <= F"),
+    formula_law("second-of-and", "F G", "F <= G and G <= F"),
+    formula_law("conclusion", "F G", "F <= G => G = F"),
+    formula_law("equivalence", "F G", "F & G = F <=> G <= F"),
+)
+
+
+class TestFailurePlane:
+    """``FormulaCheck.failures`` against a plane built from the law's
+    check of each tuple of the chunk alone."""
+
+    @pytest.mark.parametrize("law", TEXT_LAWS, ids=lambda law: law.id)
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_exhaustive_chunks(self, law, shape):
+        ctx = frame(*shape)
+        n = len(ctx.objects) * len(ctx.parameters)
+        # one chunk, in itertools.product order, holds every tuple
+        ((start, width, chunks),) = _exhaustive_chunks(n, law.arity)
+        assert start == 0 and width == soft_set_count(ctx) ** law.arity
+        tuples = itertools.product(enumerate_soft_sets(ctx), repeat=law.arity)
+        assert law.check.failures(chunks, n, width) == _plane_by_check(law, ctx, width, tuples)
+
+    @pytest.mark.parametrize("law", TEXT_LAWS, ids=lambda law: law.id)
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 6)])
+    def test_random_chunks(self, law, shape):
+        ctx = frame(*shape)
+        n = len(ctx.objects) * len(ctx.parameters)
+        for seed in range(5):
+            ((_, width, chunks),) = _random_chunks(ctx, n, law.arity, 50, seed)
+            tuples = (_tuple_of(ctx, chunks, width, t) for t in range(width))
+            expected = _plane_by_check(law, ctx, width, tuples)
+            assert law.check.failures(chunks, n, width) == expected, seed
+
+    @pytest.mark.parametrize("law", ONE_TUPLE_LAWS, ids=lambda law: law.id)
+    @pytest.mark.parametrize(
+        "shape, width",
+        [((1, 1), 1), ((2, 1), 1), ((2, 3), 1), ((2, 3), 2), ((2, 3), 50),
+         ((1, 1), 1 << CHUNK_BITS), ((2, 1), 1 << CHUNK_BITS)],
+    )
+    def test_one_relation_fails_at_the_last_tuple_in_the_top_block(self, law, shape, width):
+        ctx = frame(*shape)
+        n = len(ctx.objects) * len(ctx.parameters)
+        chunks = [0, 1 << (n - 1) * width + width - 1]
+        tuples = (_tuple_of(ctx, chunks, width, t) for t in range(width))
+        plane = law.check.failures(chunks, n, width)
+        assert plane == _plane_by_check(law, ctx, width, tuples) == 1 << width - 1
+
+    @pytest.mark.parametrize("width", [1, 1 << CHUNK_BITS])
+    def test_a_chunk_wider_than_its_frame_is_refused(self, width):
+        # SoftSet's range check still guards the argument chunks
+        check, n = lookup("commutative-1").check, 4
+        full, over = (1 << n * width) - 1, 1 << n * width
+        assert check.failures([full, 0], n, width) == 0
+        for chunks in ([over, 0], [0, over], [full, over | full]):
+            with pytest.raises(ValueError) as exc_info:
+                check.failures(chunks, n, width)
+            assert str(exc_info.value) == f"bits out of range for a context of {n * width} bits"
+
+
 class TestDrawMemo:
     """Random checks that one chunk covers share their draws through
     ``laws._one_round``."""
