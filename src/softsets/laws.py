@@ -88,6 +88,14 @@ class Law:
     check: CheckFn
     arg_names: tuple[str, ...]
 
+    def __post_init__(self):
+        # A counterexample binds each argument to its name, so a name
+        # short of the arity would drop an argument from the rendering.
+        if self.arity != len(self.arg_names):
+            raise ValueError(
+                f"law {self.id}: arity {self.arity}, but {len(self.arg_names)} argument names"
+            )
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -138,6 +146,7 @@ def _exceeds(n_bits: int, cap: int) -> bool:
 def check_cap(law: Law, ctx: Context, cap: int = DEFAULT_CAP) -> None:
     """Raise EnumerationTooLarge when an exhaustive check of ``law`` over
     ctx would take more than ``cap`` argument tuples."""
+    cap = operator.index(cap)  # a float, string or None raises TypeError
     n_bits = len(ctx.objects) * len(ctx.parameters) * law.arity
     if _exceeds(n_bits, cap):
         raise EnumerationTooLarge(
@@ -149,6 +158,7 @@ def enumerate_soft_sets(ctx: Context, cap: int = DEFAULT_CAP) -> Iterator[SoftSe
     """Yield every soft set over ctx exactly once, in a fixed order: the
     packed bits count up from 0, which is the order of the per-parameter
     mask tuples with the last parameter varying fastest."""
+    cap = operator.index(cap)
     n_bits = len(ctx.objects) * len(ctx.parameters)
     if _exceeds(n_bits, cap):
         raise EnumerationTooLarge(f"2**{n_bits} soft sets exceed the cap of {cap}")

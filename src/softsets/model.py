@@ -20,9 +20,9 @@ checking transposes from its chunks cannot leave [0, full_bits], so
 they skip the range check of ``SoftSet.__init__``, as the algebra's
 results do (:func:`_bare_soft_set`).
 
-A context keeps one lookup map per axis for this layout: ``object_bit``
-(each object's bit in a mask) and ``parameter_offset`` (each
-parameter's offset in the packed integer).  :func:`soft_set`,
+A context builds one lookup map per axis for this layout when it is
+built: ``object_bit`` (each object's bit in a mask) and
+``parameter_offset`` (each parameter's offset in the packed integer).  :func:`soft_set`,
 :func:`strict_soft_set` and the workspace loader build a soft set by
 OR-ing each image's mask into one integer at its parameter's offset.
 """
@@ -134,21 +134,22 @@ class Context(_Frozen):
     names.  A fully empty context is legal; a context with parameters but
     no objects is not.
 
-    ``full_mask`` (bitmask of the whole universe) and ``full_bits``
-    (packed bits of the universal soft set: every mask full) are
-    computed once, on construction, since every soft set built over the
-    context reads ``full_bits``.  The lookup maps ``object_bit`` and
-    ``parameter_offset`` are built on first read, as many contexts
-    (the one-cell frames shrinking tries) never need them.
+    Every field is set on construction: ``full_mask`` (bitmask of the
+    whole universe), ``full_bits`` (packed bits of the universal soft
+    set: every mask full) and the lookup maps ``object_bit`` (bit k for
+    the k-th object) and ``parameter_offset`` (each parameter's bit
+    offset in a packed soft set).
     """
 
-    __slots__ = ("objects", "parameters", "full_mask", "full_bits", "_object_bit", "_parameter_offset")
+    __slots__ = ("objects", "parameters", "full_mask", "full_bits", "object_bit", "parameter_offset")
     __match_args__ = ("objects", "parameters")
 
     objects: tuple[str, ...]
     parameters: tuple[str, ...]
     full_mask: int
     full_bits: int
+    object_bit: dict[str, int]
+    parameter_offset: dict[str, int]
 
     def __init__(self, objects: Sequence[str], parameters: Sequence[str]):
         if isinstance(objects, str) or isinstance(parameters, str):
@@ -161,32 +162,13 @@ class Context(_Frozen):
                 "a context with parameters needs a nonempty universe: "
                 "no parameter can have a nonempty image over an empty universe"
             )
-        width = len(objects)
+        width, last = len(objects), len(parameters) - 1
         _set_objects(self, objects)
         _set_parameters(self, parameters)
         _set_full_mask(self, (1 << width) - 1)
         _set_full_bits(self, (1 << width * len(parameters)) - 1)
-
-    @property
-    def object_bit(self) -> dict[str, int]:
-        """Each object's bit in a mask: bit k for the k-th object."""
-        try:
-            return self._object_bit
-        except AttributeError:
-            bit = {obj: 1 << k for k, obj in enumerate(self.objects)}
-            _set_object_bit(self, bit)
-            return bit
-
-    @property
-    def parameter_offset(self) -> dict[str, int]:
-        """Each parameter's bit offset in a packed soft set."""
-        try:
-            return self._parameter_offset
-        except AttributeError:
-            width, last = len(self.objects), len(self.parameters) - 1
-            offset = {p: width * (last - i) for i, p in enumerate(self.parameters)}
-            _set_parameter_offset(self, offset)
-            return offset
+        _set_object_bit(self, {obj: 1 << k for k, obj in enumerate(objects)})
+        _set_parameter_offset(self, {p: width * (last - i) for i, p in enumerate(parameters)})
 
     def object_mask(self, names: Iterable[str]) -> int:
         """The bits of ``names``, gathered by one ``itemgetter`` and
@@ -218,13 +200,13 @@ class Context(_Frozen):
 
 
 # The slots' own setters, bound once: Context.__setattr__ refuses every
-# write.
+# write, so __init__ and _cell_context set every field through these.
 _set_objects = Context.objects.__set__
 _set_parameters = Context.parameters.__set__
 _set_full_mask = Context.full_mask.__set__
 _set_full_bits = Context.full_bits.__set__
-_set_object_bit = Context._object_bit.__set__
-_set_parameter_offset = Context._parameter_offset.__set__
+_set_object_bit = Context.object_bit.__set__
+_set_parameter_offset = Context.parameter_offset.__set__
 
 
 def _cell_context(obj: str, parameter: str) -> Context:
@@ -236,6 +218,8 @@ def _cell_context(obj: str, parameter: str) -> Context:
     _set_parameters(c, (parameter,))
     _set_full_mask(c, 1)
     _set_full_bits(c, 1)
+    _set_object_bit(c, {obj: 1})
+    _set_parameter_offset(c, {parameter: 0})
     return c
 
 

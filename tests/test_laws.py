@@ -213,6 +213,18 @@ class TestEnumeration:
         assert len(list(enumerate_soft_sets(empty, cap=1))) == 1
         assert len(list(enumerate_soft_sets(one, cap=2))) == 2
 
+    @pytest.mark.parametrize("cap", [1e6, "10", None])
+    def test_a_cap_that_is_not_an_integer_raises_type_error(self, ctx22, cap):
+        # read through operator.index, as check_random reads trials
+        law = lookup("identity-1")
+        for run in (
+            lambda: next(enumerate_soft_sets(ctx22, cap=cap)),
+            lambda: check_cap(law, ctx22, cap),
+            lambda: check_exhaustive(law, ctx22, cap=cap),
+        ):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                run()
+
     def test_default_cap_rejects_five_by_five(self):
         ctx = new_context(tuple("abcde"), tuple("pqrst"))
         assert soft_set_count(ctx) == 2**25
@@ -397,6 +409,24 @@ def test_random_stream_matches_the_reference(n_objects, n_params):
         assert rng.getstate() == reference.getstate(), (width, dd, md, seed)
         trials = list(_transpose(chunk, n, width))
         assert trials == list(_reference_transpose(chunk, n, width)), (width, dd, md, seed)
+
+
+class TestLaw:
+    def test_an_arity_that_disagrees_with_the_argument_names_is_refused(self):
+        check = FormulaCheck("F - G = G - F", ("F", "G"))
+        for arity, names in [(2, ("F",)), (1, ("F", "G")), (0, ("F",)), (1, ())]:
+            with pytest.raises(ValueError, match="arity"):
+                Law("x", arity, "F - G = G - F", check, names)
+
+    def test_replace_checks_the_copy_too(self):
+        law = lookup("commutative-1")
+        assert replace(law, id="copy").arg_names == law.arg_names
+        with pytest.raises(ValueError, match="arity"):
+            replace(law, arg_names=("F",))
+
+    def test_every_law_of_the_catalog_and_the_mutants_agrees(self):
+        for law in (*law_catalog(), *BROKEN_LAWS):
+            assert law.arity == len(law.arg_names)
 
 
 class TestCheckExhaustive:
@@ -1415,7 +1445,7 @@ class TestShrink:
     def test_cell_frames_are_the_validated_contexts(self, shape):
         # _cells builds each 1x1 frame without Context.__init__; each
         # equals, hashes, reprs and pickles as the validated one, and
-        # builds its lookup maps on first read as that one does
+        # holds every field of that one, its lookup maps too, once built
         ctx = frame(*shape)
         cells = list(laws._cells(ctx, (SoftSet(ctx, ctx.full_bits),)))
         names = [(o, p) for p in reversed(ctx.parameters) for o in reversed(ctx.objects)]
@@ -1426,9 +1456,9 @@ class TestShrink:
             assert cell == ref and hash(cell) == hash(ref) and repr(cell) == repr(ref)
             assert (cell.full_mask, cell.full_bits) == (ref.full_mask, ref.full_bits) == (1, 1)
             for c in (cell, ref):
-                assert not hasattr(c, "_object_bit") and not hasattr(c, "_parameter_offset")
+                assert all(hasattr(c, name) for name in Context.__slots__)
             assert (cell.object_bit, cell.parameter_offset) == (ref.object_bit, ref.parameter_offset)
-            assert cell._object_bit is cell.object_bit
+            assert cell.object_bit is cell.object_bit
             assert pickle.loads(pickle.dumps(cell)) == ref
             assert arg == SoftSet(ref, 1)
 

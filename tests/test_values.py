@@ -26,7 +26,7 @@ from softsets.expr import (
     _Binary,
     _Node,
 )
-from softsets.model import Context, SoftSet, _Frozen, new_context, soft_set
+from softsets.model import Context, SoftSet, _cell_context, _Frozen, new_context, soft_set
 from softsets.workspace import Workspace
 
 CTX = new_context(("x1", "x2"), ("e1",))
@@ -222,13 +222,26 @@ def test_match_by_position():
             assert (objects, parameters) == (("x1", "x2"), ("e1",))
 
 
-def test_context_lookup_maps_are_lazy_and_survive_copies():
+def test_context_lookup_maps_are_built_with_it_and_survive_copies():
     ctx = new_context(("a", "b"), ("p", "q"))
     assert ctx.object_bit == {"a": 0b01, "b": 0b10}
     assert ctx.object_bit is ctx.object_bit  # built once
     assert copy.deepcopy(ctx).parameter_offset == {"p": 2, "q": 0}
     with pytest.raises(AttributeError):
         ctx.no_such_attribute
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: new_context(("a",), ("p",)), lambda: _cell_context("a", "p")], ids=["init", "cell"]
+)
+def test_context_lookup_maps_are_frozen_fields(build):
+    ctx = build()
+    for attr in ("object_bit", "parameter_offset"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ctx, attr, {})
+        with pytest.raises(FrozenInstanceError):
+            delattr(ctx, attr)
+    assert (ctx.object_bit, ctx.parameter_offset) == ({"a": 1}, {"p": 0})
 
 
 def test_workspace_copies_its_bindings():
