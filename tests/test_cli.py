@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -682,8 +683,16 @@ def test_console_script(houses_path):
     reason="the softsets console script is not installed",
 )
 def test_installed_console_script(houses_path):
-    proc = subprocess.run(
-        ["softsets", "show", houses_path], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
+    # Without PYTHONPATH, so the script runs the installed package, and
+    # paper-example reads the houses.sset installed as its package data.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["softsets", *args], capture_output=True, text=True, env=env)
+
+    proc = run("show", houses_path)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == render_workspace(houses_workspace())
+    proc = run("paper-example")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == houses.paper_example_report()[0]
