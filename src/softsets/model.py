@@ -22,9 +22,10 @@ results do (:func:`_bare_soft_set`).
 
 A context builds one lookup map per axis for this layout when it is
 built: ``object_bit`` (each object's bit in a mask) and
-``parameter_offset`` (each parameter's offset in the packed integer).  :func:`soft_set`,
-:func:`strict_soft_set` and the workspace loader build a soft set by
-OR-ing each image's mask into one integer at its parameter's offset.
+``parameter_offset`` (each parameter's offset in the packed integer).
+:func:`soft_set`, :func:`strict_soft_set` and the workspace loader
+build a soft set by OR-ing each image's mask into one integer at its
+parameter's offset.
 """
 
 from __future__ import annotations

@@ -413,20 +413,15 @@ def test_random_stream_matches_the_reference(n_objects, n_params):
 
 class TestLaw:
     def test_an_arity_that_disagrees_with_the_argument_names_is_refused(self):
+        # a counterexample would render without the arguments past the names
         check = FormulaCheck("F - G = G - F", ("F", "G"))
         for arity, names in [(2, ("F",)), (1, ("F", "G")), (0, ("F",)), (1, ())]:
             with pytest.raises(ValueError, match="arity"):
                 Law("x", arity, "F - G = G - F", check, names)
-
-    def test_replace_checks_the_copy_too(self):
         law = lookup("commutative-1")
         assert replace(law, id="copy").arg_names == law.arg_names
         with pytest.raises(ValueError, match="arity"):
             replace(law, arg_names=("F",))
-
-    def test_every_law_of_the_catalog_and_the_mutants_agrees(self):
-        for law in (*law_catalog(), *BROKEN_LAWS):
-            assert law.arity == len(law.arg_names)
 
 
 class TestCheckExhaustive:
