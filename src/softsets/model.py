@@ -168,8 +168,8 @@ class Context(_Frozen):
         _set_parameters(self, parameters)
         _set_full_mask(self, (1 << width) - 1)
         _set_full_bits(self, (1 << width * len(parameters)) - 1)
-        _set_object_bit(self, {obj: 1 << k for k, obj in enumerate(objects)})
-        _set_parameter_offset(self, {p: width * (last - i) for i, p in enumerate(parameters)})
+        _set_bit_map(self, {obj: 1 << k for k, obj in enumerate(objects)})
+        _set_offset_map(self, {p: width * (last - i) for i, p in enumerate(parameters)})
 
     def object_mask(self, names: Iterable[str]) -> int:
         """The bits of ``names``, gathered by one ``itemgetter`` and
@@ -206,8 +206,8 @@ _set_objects = Context.objects.__set__
 _set_parameters = Context.parameters.__set__
 _set_full_mask = Context.full_mask.__set__
 _set_full_bits = Context.full_bits.__set__
-_set_object_bit = Context.object_bit.__set__
-_set_parameter_offset = Context.parameter_offset.__set__
+_set_bit_map = Context.object_bit.__set__
+_set_offset_map = Context.parameter_offset.__set__
 
 
 def _cell_context(obj: str, parameter: str) -> Context:
@@ -219,8 +219,8 @@ def _cell_context(obj: str, parameter: str) -> Context:
     _set_parameters(c, (parameter,))
     _set_full_mask(c, 1)
     _set_full_bits(c, 1)
-    _set_object_bit(c, {obj: 1})
-    _set_parameter_offset(c, {parameter: 0})
+    _set_bit_map(c, {obj: 1})
+    _set_offset_map(c, {parameter: 0})
     return c
 
 
